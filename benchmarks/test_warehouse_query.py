@@ -1,11 +1,12 @@
-"""Columnar vs legacy warehouse engines on a 100+ segment directory.
+"""The columnar warehouse engine vs the reference merge, 100+ segments.
 
-Acceptance bar for the columnar refactor: multi-segment range queries
+Acceptance bar for the columnar engine: multi-segment range queries
 and the compaction merge phase must be at least 3x faster than the
-legacy per-segment ``ProfileSet`` decode + dict-merge path, while
-staying byte-identical to it.  The byte-identity half is always
-asserted; the throughput ratios are recorded in extra_info and only
-enforced outside CI (shared runners time too noisily to gate on).
+reference — ``ProfileSet.merged`` over per-segment
+``Warehouse.load_segment`` decodes — while staying byte-identical to
+it.  The byte-identity half is always asserted; the throughput ratios
+are recorded in extra_info and only enforced outside CI (shared
+runners time too noisily to gate on).
 
 Full ``compact()`` wall time is recorded too, but not gated: it is
 dominated by the durable write path (encode + atomic rename per
@@ -35,8 +36,8 @@ def synthetic_segment(seed: int, operations: int = 10) -> ProfileSet:
     return pset
 
 
-def build_warehouse(root, engine="columnar"):
-    wh = Warehouse(root, policy=POLICY, engine=engine)
+def build_warehouse(root):
+    wh = Warehouse(root, policy=POLICY)
     wh.ingest_many("bench",
                    [(synthetic_segment(e), e) for e in range(SEGMENTS)])
     return wh
@@ -52,15 +53,20 @@ def best_of(rounds, fn):
     return elapsed, result
 
 
-def test_perf_warehouse_query_columnar_vs_legacy(benchmark, artifacts,
-                                                 tmp_path):
-    """Full-history query over 120 segments, both engines."""
+def reference_query(wh, source):
+    """Full-history reference: merge every segment's ``load_segment``."""
+    return ProfileSet.merged([wh.load_segment(meta)
+                              for meta in wh.segments(source)])
+
+
+def test_perf_warehouse_query_columnar_vs_reference(benchmark, artifacts,
+                                                    tmp_path):
+    """Full-history query over 120 segments, columnar vs reference."""
     columnar = build_warehouse(tmp_path / "wh")
-    legacy = Warehouse(tmp_path / "wh", policy=POLICY, engine="legacy")
 
     columnar.query("bench")  # decode once; repeat queries hit the cache
-    legacy_elapsed, legacy_result = best_of(
-        3, lambda: [legacy.query("bench")
+    ref_elapsed, ref_result = best_of(
+        3, lambda: [reference_query(columnar, "bench")
                     for _ in range(QUERY_ROUNDS)][-1])
     columnar_elapsed, columnar_result = best_of(
         3, lambda: [columnar.query("bench")
@@ -68,34 +74,34 @@ def test_perf_warehouse_query_columnar_vs_legacy(benchmark, artifacts,
     benchmark.pedantic(lambda: columnar.query("bench"),
                        rounds=3, iterations=1)
 
-    assert columnar_result.to_bytes() == legacy_result.to_bytes()
-    speedup = legacy_elapsed / columnar_elapsed
+    assert columnar_result.to_bytes() == ref_result.to_bytes()
+    speedup = ref_elapsed / columnar_elapsed
     benchmark.extra_info["segments"] = SEGMENTS
     benchmark.extra_info["query_rounds"] = QUERY_ROUNDS
-    benchmark.extra_info["legacy_seconds"] = round(legacy_elapsed, 4)
+    benchmark.extra_info["reference_seconds"] = round(ref_elapsed, 4)
     benchmark.extra_info["columnar_seconds"] = round(columnar_elapsed, 4)
     benchmark.extra_info["speedup"] = round(speedup, 3)
     benchmark.extra_info["cache_hits"] = columnar.cache_hits_total
     artifacts.add(
         f"warehouse query, {SEGMENTS} segments x {QUERY_ROUNDS} rounds\n"
-        f"  legacy:   {legacy_elapsed:.4f}s\n"
-        f"  columnar: {columnar_elapsed:.4f}s  ({speedup:.1f}x)\n"
+        f"  reference: {ref_elapsed:.4f}s\n"
+        f"  columnar:  {columnar_elapsed:.4f}s  ({speedup:.1f}x)\n"
         f"  byte-identical: yes")
     if not os.environ.get("CI"):
         assert speedup >= 3.0, (
             f"columnar query only {speedup:.2f}x faster "
-            f"({columnar_elapsed:.4f}s vs {legacy_elapsed:.4f}s)")
+            f"({columnar_elapsed:.4f}s vs {ref_elapsed:.4f}s)")
 
 
-def test_perf_warehouse_compaction_columnar_vs_legacy(benchmark,
-                                                      artifacts,
-                                                      tmp_path):
+def test_perf_warehouse_compaction_columnar_vs_reference(benchmark,
+                                                         artifacts,
+                                                         tmp_path):
     """The compaction merge phase over the planned tier-0 groups."""
     wh = build_warehouse(tmp_path / "wh")
     groups = plan_compactions(wh.index, "bench", wh.policy)
     assert sum(len(g.inputs) for g in groups) >= 100
 
-    def legacy_merge():
+    def reference_merge():
         return [ProfileSet.merged([wh.load_segment(m) for m in g.inputs])
                 for g in groups]
 
@@ -105,42 +111,37 @@ def test_perf_warehouse_compaction_columnar_vs_legacy(benchmark,
                 for g in groups]
 
     columnar_merge()  # warm the decoded-columns cache
-    legacy_elapsed, legacy_result = best_of(3, legacy_merge)
+    ref_elapsed, ref_result = best_of(3, reference_merge)
     columnar_elapsed, columnar_result = best_of(3, columnar_merge)
     benchmark.pedantic(columnar_merge, rounds=3, iterations=1)
 
     assert all(a.to_bytes() == b.to_bytes()
-               for a, b in zip(legacy_result, columnar_result))
-    speedup = legacy_elapsed / columnar_elapsed
+               for a, b in zip(ref_result, columnar_result))
+    speedup = ref_elapsed / columnar_elapsed
 
-    # The unagated end-to-end numbers: compact() to a fixpoint on two
-    # identical directories, one per engine (write path included).
-    full = {}
-    for engine in ("columnar", "legacy"):
-        full_wh = build_warehouse(tmp_path / f"full-{engine}", engine)
-        t0 = time.perf_counter()
-        while full_wh.compact():
-            pass
-        full[engine] = time.perf_counter() - t0
+    # The ungated end-to-end number: compact() to a fixpoint on a fresh
+    # identical directory (write path included).
+    full_wh = build_warehouse(tmp_path / "full")
+    t0 = time.perf_counter()
+    while full_wh.compact():
+        pass
+    full_compact = time.perf_counter() - t0
 
     benchmark.extra_info["groups"] = len(groups)
-    benchmark.extra_info["legacy_seconds"] = round(legacy_elapsed, 4)
+    benchmark.extra_info["reference_seconds"] = round(ref_elapsed, 4)
     benchmark.extra_info["columnar_seconds"] = round(columnar_elapsed, 4)
     benchmark.extra_info["speedup"] = round(speedup, 3)
-    benchmark.extra_info["full_compact_legacy_seconds"] = round(
-        full["legacy"], 4)
     benchmark.extra_info["full_compact_columnar_seconds"] = round(
-        full["columnar"], 4)
+        full_compact, 4)
     artifacts.add(
         f"compaction merge phase, {len(groups)} groups "
         f"({SEGMENTS} input segments)\n"
-        f"  legacy:   {legacy_elapsed:.4f}s\n"
-        f"  columnar: {columnar_elapsed:.4f}s  ({speedup:.1f}x)\n"
-        f"  full compact() incl. write path: "
-        f"legacy {full['legacy']:.4f}s, "
-        f"columnar {full['columnar']:.4f}s\n"
+        f"  reference: {ref_elapsed:.4f}s\n"
+        f"  columnar:  {columnar_elapsed:.4f}s  ({speedup:.1f}x)\n"
+        f"  full compact() incl. write path: columnar "
+        f"{full_compact:.4f}s\n"
         f"  byte-identical: yes")
     if not os.environ.get("CI"):
         assert speedup >= 3.0, (
             f"columnar compaction merge only {speedup:.2f}x faster "
-            f"({columnar_elapsed:.4f}s vs {legacy_elapsed:.4f}s)")
+            f"({columnar_elapsed:.4f}s vs {ref_elapsed:.4f}s)")

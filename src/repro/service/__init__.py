@@ -12,23 +12,28 @@ long-running network service:
 * :mod:`repro.service.alerts` — online differential analysis: each
   closed segment is scored against a rolling baseline and structured
   alerts fire on new peaks or metric threshold crossings,
-* :mod:`repro.service.server` — the ingestion server plus a plaintext
-  metrics endpoint, and
+* :mod:`repro.service.server` — the ingestion service plus a plaintext
+  metrics endpoint,
+* :mod:`repro.service.aio_server` — the one transport: an asyncio event
+  loop answering each frame type from a request table,
+* :mod:`repro.service.relay` — leaf relays of the aggregation tree,
+  served by the same transport with a table of their own, and
 * :mod:`repro.service.client` — the collector-side client used by the
   ``osprof push`` / ``osprof watch`` CLI subcommands.
 """
 
+from .aio_server import AsyncProfileServer
 from .alerts import Alert, DifferentialAlerter
 from .client import ServiceClient, parse_endpoint
 from .protocol import FrameType, ProtocolError, recv_frame, send_frame
-from .server import ProfileServer, ProfileService, ServiceConfig
+from .server import ProfileService, ServiceConfig
 from .store import Segment, SegmentStore
 
 __all__ = [
     "Alert",
+    "AsyncProfileServer",
     "DifferentialAlerter",
     "FrameType",
-    "ProfileServer",
     "ProfileService",
     "ProtocolError",
     "Segment",

@@ -1,28 +1,31 @@
-"""The event-loop transport: one thread, thousands of collectors.
+"""The service transport: one event loop, one dispatch table.
 
-:class:`ProfileServer` (``server.py``) spends a whole thread per
-connection, which caps a fleet at a few hundred concurrent pushers
-before scheduler churn eats the ingest budget.  This module serves the
-very same :class:`~repro.service.server.ProfileService` facade from a
-single-threaded ``asyncio`` event loop instead: sockets are read
-non-blocking in 64 KiB chunks, frames are cut out of the stream by the
-sans-IO incremental :class:`~repro.service.protocol.FrameParser`
-(header-only size guard, zero-copy ``memoryview`` payload slicing), and
-every dispatch is the same microseconds of histogram merging — so one
-loop absorbs the fleet the north star asks for while the wire protocol,
-the CLI, and every hardening semantic stay bit-for-bit compatible:
+Both kinds of service — the root
+:class:`~repro.service.server.ProfileService` and a leaf
+:class:`~repro.service.relay.RelayService` — are served from a
+single-threaded ``asyncio`` event loop: sockets are read non-blocking in
+64 KiB chunks, frames are cut out of the stream by the sans-IO
+incremental :class:`~repro.service.protocol.FrameParser` (header-only
+size guard, zero-copy ``memoryview`` payload slicing), and each request
+is answered by one :class:`Route` looked up by frame type in the
+server's :attr:`~AsyncProfileServer.routes` table.  The root serves
+:data:`ROUTES`; a relay serves its own, smaller table through the same
+dispatch, and any frame type a table lacks is answered
+``unsupported frame type <NAME>``.
 
-* per-connection **read timeouts** (``asyncio.wait_for`` around each
+What every service gets from the transport, once:
+
+* per-connection **read timeouts** (a timer armed while parked on a
   read; an idle or wedged peer is dropped and counted),
 * the **max-frame guard** (judged from the 9 header bytes alone, the
   oversized payload is never buffered; the peer gets an ``ERROR``),
-* bounded-slot **RETRY_AFTER backpressure** through the service's own
-  ``try_acquire_ingest_slot`` gate, so the two transports shed load
-  identically,
+* bounded-slot **RETRY_AFTER backpressure** through the service's
+  ``try_acquire_ingest_slot`` gate, around every gated route,
 * **graceful drain** (stop accepting, wait for in-flight connections,
   cancel stragglers after a timeout — an acked push is always already
   merged, because the ack is written after the synchronous ingest),
-* the shared **metrics** page, plus transport gauges of its own.
+* the service's **metrics** page, plus the ``osprof_aio_*`` transport
+  gauges.
 
 Memory stays bounded under pipelining by construction: every complete
 frame already parsed is dispatched before the next ``read()`` is
@@ -31,8 +34,8 @@ partial frame — there is no unbounded pending-frame queue to fill.
 
 The server runs ``serve_forever()`` on the calling thread (the CLI) or
 ``serve_in_thread()`` on a daemon thread (tests, embedding); either
-way the public surface mirrors ``ProfileServer``: ``address``,
-``active_connections``, ``drain(timeout)``, ``server_close()``.
+way the public surface is ``address``, ``active_connections``,
+``drain(timeout)`` and ``server_close()``.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import asyncio
 import concurrent.futures
 import socket
 import threading
-from typing import Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple, Union
 
 from .protocol import (MAGIC, FrameParser, FrameTooLarge, FrameType,
                        ProtocolError, decode_json, decode_push_seq,
@@ -49,12 +52,123 @@ from .protocol import (MAGIC, FrameParser, FrameTooLarge, FrameType,
                        _HEADER)
 from .server import ProfileService
 
-__all__ = ["AsyncProfileServer", "READ_CHUNK"]
+__all__ = ["AsyncProfileServer", "READ_CHUNK", "Route"]
 
 #: Bytes asked of the socket per read; with the parser's partial-frame
 #: carry this bounds a connection's buffer at READ_CHUNK + header +
 #: max_frame_bytes.
 READ_CHUNK = 1 << 16
+
+#: A reply frame: its type and its payload (text is sent as UTF-8).
+Reply = Tuple[int, Union[str, bytes]]
+
+
+def _no_body(payload: bytes) -> tuple:
+    return ()
+
+
+def _whole_body(payload: bytes) -> tuple:
+    return (payload,)
+
+
+def _json_body(payload: bytes) -> tuple:
+    """A JSON-object request body (empty means ``{}``).
+
+    Anything else is judged like unparseable JSON: a
+    :class:`ProtocolError` that drops the connection.
+    """
+    request = decode_json(payload) if payload else {}
+    if not isinstance(request, dict):
+        raise ProtocolError("request body must be a JSON object")
+    return (request,)
+
+
+class Route(NamedTuple):
+    """How one request frame type is answered.
+
+    ``handle(server, *decode(payload))`` returns the reply.  ``decode``
+    raises :class:`ProtocolError` on a malformed request, before any
+    ingest slot is claimed; a ``gated`` route runs under the service's
+    bounded-slot ``RETRY_AFTER`` gate.  Handlers reach the service
+    through ``server.service`` at call time, so methods replaced on a
+    live instance take effect.
+    """
+
+    handle: Callable[..., Reply]
+    decode: Callable[[bytes], tuple] = _no_body
+    gated: bool = False
+
+
+def _bad_payload(exc: ValueError) -> Reply:
+    # A payload damaged in transit is safe to resend under the same
+    # sequence; the client retries ``bad-payload:`` replies only.
+    return FrameType.ERROR, f"bad-payload: {exc}"
+
+
+def _push(server, payload: bytes) -> Reply:
+    pset = server.service.ingest_payload(payload)
+    return (FrameType.OK,
+            f"merged {pset.total_ops()} ops over {len(pset)} operations")
+
+
+def _push_seq(server, client_id: str, seq: int, profile: bytes) -> Reply:
+    try:
+        status, _ = server.service.ingest_sequenced(client_id, seq, profile)
+    except ValueError as exc:
+        return _bad_payload(exc)
+    return FrameType.OK, status
+
+
+def _metrics(server) -> Reply:
+    server.service.tick()
+    return FrameType.TEXT, server.metrics_text()
+
+
+def _snapshot(server) -> Reply:
+    return FrameType.PROFILE, server.service.snapshot().to_bytes()
+
+
+def _alerts(server, request: dict) -> Reply:
+    cursor = request.get("cursor", 0)
+    if not isinstance(cursor, int) or isinstance(cursor, bool):
+        raise ProtocolError("alert cursor must be an integer")
+    server.service.tick()
+    next_cursor, alerts = server.service.alerts_since(cursor)
+    return FrameType.ALERT_LOG, encode_json(
+        {"cursor": next_cursor, "alerts": [a.to_dict() for a in alerts]})
+
+
+def _sql(server, request: dict) -> Reply:
+    return FrameType.TABLE, encode_json(
+        server.service.sql(str(request.get("sql", ""))))
+
+
+def _state_push(server, overhead_ns: int, profile: bytes) -> Reply:
+    try:
+        sprof = server.service.ingest_state(profile, overhead_ns=overhead_ns)
+    except ValueError as exc:
+        return _bad_payload(exc)
+    return (FrameType.OK, f"sampled {sprof.total_samples()} samples over "
+                          f"{sprof.intervals} interval(s)")
+
+
+def _state_snapshot(server) -> Reply:
+    return FrameType.STATE_PROFILE, server.service.state_snapshot().to_bytes()
+
+
+#: The root service's request table; a frame type it lacks is answered
+#: ``unsupported frame type <NAME>``.  A relay serves its own table
+#: (:data:`repro.service.relay.RELAY_ROUTES`) through the same dispatch.
+ROUTES: Dict[int, Route] = {
+    FrameType.PUSH: Route(_push, _whole_body, gated=True),
+    FrameType.PUSH_SEQ: Route(_push_seq, decode_push_seq, gated=True),
+    FrameType.METRICS: Route(_metrics),
+    FrameType.SNAPSHOT: Route(_snapshot),
+    FrameType.ALERTS: Route(_alerts, _json_body),
+    FrameType.SQL: Route(_sql, _json_body),
+    FrameType.STATE_PUSH: Route(_state_push, decode_state_push, gated=True),
+    FrameType.STATE_SNAPSHOT: Route(_state_snapshot),
+}
 
 
 class AsyncProfileServer:
@@ -66,6 +180,9 @@ class AsyncProfileServer:
     :meth:`serve_forever`); :meth:`drain` and :meth:`server_close` are
     thread-safe either way.
     """
+
+    #: Request frame type -> :class:`Route`; a relay swaps the table.
+    routes: Dict[int, Route] = ROUTES
 
     def __init__(self, service: Optional[ProfileService] = None,
                  host: str = "127.0.0.1", port: int = 0):
@@ -245,8 +362,7 @@ class AsyncProfileServer:
                 # drop the stream (its payload bytes would desync us).
                 service.note_oversize_frame()
                 try:
-                    await self._send(writer, FrameType.ERROR,
-                                     str(exc).encode("utf-8"))
+                    await self._send(writer, FrameType.ERROR, str(exc))
                 except OSError:
                     pass
                 return
@@ -261,7 +377,7 @@ class AsyncProfileServer:
                 except ValueError as exc:
                     try:
                         await self._send(writer, FrameType.ERROR,
-                                         str(exc).encode("utf-8"))
+                                         str(exc))
                     except OSError:
                         return
                 except OSError:
@@ -286,102 +402,46 @@ class AsyncProfileServer:
                 self.max_parser_buffered = parser.max_buffered
 
     async def _send(self, writer: asyncio.StreamWriter, ftype: int,
-                    payload: bytes = b"") -> None:
+                    payload: Union[str, bytes] = b"") -> None:
+        if isinstance(payload, str):
+            payload = payload.encode("utf-8")
         writer.write(_HEADER.pack(MAGIC, ftype, len(payload)) + payload)
         await writer.drain()
 
     # -- dispatch ----------------------------------------------------------
 
-    async def _ingest_gated(self, writer: asyncio.StreamWriter,
-                            work) -> bool:
-        """Run one ingest under the service's bounded-slot gate.
+    async def _dispatch(self, writer: asyncio.StreamWriter, ftype: int,
+                        payload: bytes) -> None:
+        """Answer one request frame from the :attr:`routes` table.
 
-        The slot is held across the ack's ``drain()`` — a slow reader
+        The request is decoded before an ingest slot is claimed (a
+        malformed one drops the connection whatever the load); a gated
+        route then runs under the service's bounded-slot gate, and the
+        slot is held across the ack's ``drain()`` — a slow reader
         therefore occupies an ingest slot, which is exactly the load
         signal that should trip ``RETRY_AFTER`` for everyone else.
         """
+        route = self.routes.get(ftype)
+        if route is None:
+            await self._send(writer, FrameType.ERROR,
+                             f"unsupported frame type "
+                             f"{FrameType.name(ftype)}")
+            return
+        args = route.decode(payload)
+        if not route.gated:
+            await self._send(writer, *route.handle(self, *args))
+            return
         service = self.service
         if not service.try_acquire_ingest_slot():
             service.note_backpressure()
             await self._send(writer, FrameType.RETRY_AFTER,
                              encode_retry_after(
                                  service.config.retry_after_seconds))
-            return False
+            return
         try:
-            await work()
+            await self._send(writer, *route.handle(self, *args))
         finally:
             service.release_ingest_slot()
-        return True
-
-    async def _dispatch(self, writer: asyncio.StreamWriter, ftype: int,
-                        payload: bytes) -> None:
-        service = self.service
-        if ftype == FrameType.PUSH:
-            async def work():
-                pset = service.ingest_payload(payload)
-                await self._send(writer, FrameType.OK,
-                                 f"merged {pset.total_ops()} ops over "
-                                 f"{len(pset)} operations".encode("utf-8"))
-            await self._ingest_gated(writer, work)
-        elif ftype == FrameType.PUSH_SEQ:
-            client_id, seq, profile = decode_push_seq(payload)
-
-            async def work():
-                try:
-                    status, _ = service.ingest_sequenced(
-                        client_id, seq, profile)
-                except ValueError as exc:
-                    # A payload damaged in transit is safe to resend
-                    # under the same sequence; other rejections are not.
-                    await self._send(writer, FrameType.ERROR,
-                                     f"bad-payload: {exc}".encode("utf-8"))
-                    return
-                await self._send(writer, FrameType.OK,
-                                 status.encode("utf-8"))
-            await self._ingest_gated(writer, work)
-        elif ftype == FrameType.METRICS:
-            service.tick()
-            await self._send(writer, FrameType.TEXT,
-                             self.metrics_text().encode("utf-8"))
-        elif ftype == FrameType.SNAPSHOT:
-            await self._send(writer, FrameType.PROFILE,
-                             service.snapshot().to_bytes())
-        elif ftype == FrameType.ALERTS:
-            request = decode_json(payload) if payload else {}
-            cursor = int(request.get("cursor", 0))
-            service.tick()
-            next_cursor, alerts = service.alerts_since(cursor)
-            await self._send(writer, FrameType.ALERT_LOG, encode_json(
-                {"cursor": next_cursor,
-                 "alerts": [a.to_dict() for a in alerts]}))
-        elif ftype == FrameType.SQL:
-            request = decode_json(payload) if payload else {}
-            await self._send(writer, FrameType.TABLE,
-                             encode_json(service.sql(
-                                 str(request.get("sql", "")))))
-        elif ftype == FrameType.STATE_PUSH:
-            overhead_ns, profile = decode_state_push(payload)
-
-            async def state_work():
-                try:
-                    sprof = service.ingest_state(profile,
-                                                 overhead_ns=overhead_ns)
-                except ValueError as exc:
-                    await self._send(writer, FrameType.ERROR,
-                                     f"bad-payload: {exc}".encode("utf-8"))
-                    return
-                await self._send(writer, FrameType.OK,
-                                 f"sampled {sprof.total_samples()} samples "
-                                 f"over {sprof.intervals} interval(s)"
-                                 .encode("utf-8"))
-            await self._ingest_gated(writer, state_work)
-        elif ftype == FrameType.STATE_SNAPSHOT:
-            await self._send(writer, FrameType.STATE_PROFILE,
-                             service.state_snapshot().to_bytes())
-        else:
-            await self._send(writer, FrameType.ERROR,
-                             f"unsupported frame type "
-                             f"{FrameType.name(ftype)}".encode("utf-8"))
 
     def metrics_text(self) -> str:
         """The service page plus the event-loop transport's own gauges."""

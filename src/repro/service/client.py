@@ -146,7 +146,11 @@ class Backoff:
 
 
 class ServiceClient:
-    """One connection to a :class:`~repro.service.server.ProfileServer`."""
+    """One connection to a service (root or relay).
+
+    The server end is an
+    :class:`~repro.service.aio_server.AsyncProfileServer`.
+    """
 
     def __init__(self, host: str, port: int, timeout: float = 30.0,
                  sock: Optional[socket.socket] = None):

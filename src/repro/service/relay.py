@@ -14,6 +14,11 @@ service.  Because profile merging is associative and canonical
 to a flat merge of every client's raw segments, no matter how the tree
 batched them.
 
+A relay is served by the root's own transport: :class:`RelayServer` is
+an :class:`~repro.service.aio_server.AsyncProfileServer` answering from
+:data:`RELAY_ROUTES` — its own ``PUSH``/``PUSH_SEQ`` routes beside the
+root's ``METRICS``/``SNAPSHOT``/``ALERTS`` — plus the forwarder thread.
+
 Crash safety is spool-first, everywhere:
 
 * an accepted push is on disk (atomic rename) **before** it is acked,
@@ -46,11 +51,11 @@ from typing import List, Optional, Tuple
 from ..core import durable
 from ..core.faults import FaultPlan
 from ..core.profileset import ProfileSet
-from .aio_server import AsyncProfileServer
+from .aio_server import (ROUTES, AsyncProfileServer, Reply, Route,
+                         _bad_payload, _whole_body)
 from .client import Backoff, ResilientServiceClient
-from .protocol import FrameType, decode_json, decode_push_seq, encode_json, \
-    encode_push_seq
-from .server import ServiceConfig
+from .protocol import FrameType, decode_push_seq, encode_push_seq
+from .server import GuardedService, ServiceConfig
 from .spool import Spool
 from .store import PushLedger
 
@@ -110,11 +115,12 @@ class RelayState:
         durable.write_atomic(self.path, blob)
 
 
-class RelayService:
+class RelayService(GuardedService):
     """Accept, dedup, spool, merge, forward — the relay's brain.
 
     Transport-agnostic like :class:`~repro.service.server.ProfileService`
-    (and presenting the same hardening surface: ``config``, ingest
+    and sharing its hardening surface
+    (:class:`~repro.service.server.GuardedService`: ``config``, ingest
     slots, degradation counters), so :class:`RelayServer` can serve it
     over the same event loop.  ``upstream`` is ``(host, port)``;
     ``batch`` caps how many spooled entries one upstream push carries.
@@ -136,10 +142,10 @@ class RelayService:
                  fault_plan: Optional[FaultPlan] = None):
         if batch < 1:
             raise ValueError("relay batch must be >= 1")
+        super().__init__(config)
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.upstream = upstream
-        self.config = config if config is not None else ServiceConfig()
         self.batch = batch
         self.spool = Spool(self.root / "spool")
         self.state = RelayState(self.root)
@@ -157,17 +163,15 @@ class RelayService:
         self._plan = fault_plan
         self._upstream_client: Optional[ResilientServiceClient] = None
         # Accepts happen on the serving thread, forwards on another;
-        # the lock guards the ledger and counters, the forward lock
-        # serializes whole forwarding rounds.
-        self._lock = threading.Lock()
+        # the service lock guards the ledger and counters, the forward
+        # lock serializes whole forwarding rounds.
         self._forward_lock = threading.Lock()
         self.ledger = PushLedger()
         self.ledger.update_from(self.state.ledger)
         self._rebuild_from_spool()
-        if self.config.max_pending < 1:
-            raise ValueError("max_pending must be >= 1")
-        self._ingest_slots = threading.BoundedSemaphore(
-            self.config.max_pending)
+        #: Set by the accept path once a whole batch is spooled; the
+        #: serving front end's forwarder thread waits on it.
+        self.forward_wake = threading.Event()
         # Counters (guarded by _lock).
         self.accepted = 0
         self.accepted_bytes = 0
@@ -177,9 +181,6 @@ class RelayService:
         self.forwarded_entries = 0
         self.forwarded_batches = 0
         self.forward_errors = 0
-        self.backpressure_rejections = 0
-        self.frames_oversize = 0
-        self.read_timeouts = 0
 
     @property
     def relay_id(self) -> str:
@@ -209,61 +210,54 @@ class RelayService:
         """Idempotent accept: validate, dedup, spool, ack.
 
         Raises :class:`ValueError` on a payload that does not decode
-        (the transport reports it as ``bad-payload:`` so the client
-        resends the pristine copy under the same sequence).  The spool
-        write lands before the ack, so an accepted push survives a
-        relay crash; the ledger entry is rebuilt from the spool on
-        restart, so the ack's loss cannot double-merge either.
+        (counted as rejected; the transport reports it as
+        ``bad-payload:`` so the client resends the pristine copy under
+        the same sequence).  The spool write lands before the ack, so
+        an accepted push survives a relay crash; the ledger entry is
+        rebuilt from the spool on restart, so the ack's loss cannot
+        double-merge either.
         """
-        pset = ProfileSet.from_bytes(payload)  # ValueError -> bad-payload
+        pset = self._decode(payload)
         with self._lock:
             if not self.ledger.is_new(client_id, seq):
                 self.duplicates += 1
                 return (f"duplicate of push seq {seq}; already relayed",
                         False)
-            self.spool.append(encode_push_seq(client_id, seq, payload))
+            self._spool(client_id, seq, payload, pset)
             self.ledger.record(client_id, seq)
-            self.accepted += 1
-            self.accepted_bytes += len(payload)
-            self.accepted_ops += pset.total_ops()
+        self._wake_if_batch_full()
         return (f"relayed {pset.total_ops()} ops over {len(pset)} "
                 f"operations (seq {seq})", True)
 
     def accept_payload(self, payload: bytes) -> ProfileSet:
         """Accept one plain (unsequenced) push; no dedup contract."""
-        pset = ProfileSet.from_bytes(payload)
+        pset = self._decode(payload)
         with self._lock:
             # Anonymous entries carry no idempotence contract; the
             # constant seq is a placeholder that never touches a ledger.
-            self.spool.append(encode_push_seq(_ANON, 1, payload))
-            self.accepted += 1
-            self.accepted_bytes += len(payload)
-            self.accepted_ops += pset.total_ops()
+            self._spool(_ANON, 1, payload, pset)
+        self._wake_if_batch_full()
         return pset
 
-    def note_rejected(self) -> None:
-        with self._lock:
-            self.rejected += 1
+    def _decode(self, payload: bytes) -> ProfileSet:
+        try:
+            return ProfileSet.from_bytes(payload)
+        except ValueError:
+            with self._lock:
+                self.rejected += 1
+            raise
 
-    # -- self-defence accounting (same surface as ProfileService) -----------
+    def _spool(self, client_id: str, seq: int, payload: bytes,
+               pset: ProfileSet) -> None:
+        # Lock held.
+        self.spool.append(encode_push_seq(client_id, seq, payload))
+        self.accepted += 1
+        self.accepted_bytes += len(payload)
+        self.accepted_ops += pset.total_ops()
 
-    def try_acquire_ingest_slot(self) -> bool:
-        return self._ingest_slots.acquire(blocking=False)
-
-    def release_ingest_slot(self) -> None:
-        self._ingest_slots.release()
-
-    def note_backpressure(self) -> None:
-        with self._lock:
-            self.backpressure_rejections += 1
-
-    def note_oversize_frame(self) -> None:
-        with self._lock:
-            self.frames_oversize += 1
-
-    def note_read_timeout(self) -> None:
-        with self._lock:
-            self.read_timeouts += 1
+    def _wake_if_batch_full(self) -> None:
+        if len(self.pending_entries()) >= self.batch:
+            self.forward_wake.set()
 
     # -- forwarding ----------------------------------------------------------
 
@@ -420,33 +414,63 @@ class RelayService:
             return "\n".join(lines) + "\n"
 
 
+def _relay_push(server, payload: bytes) -> Reply:
+    pset = server.service.accept_payload(payload)
+    return (FrameType.OK,
+            f"relayed {pset.total_ops()} ops over {len(pset)} operations")
+
+
+def _relay_push_seq(server, client_id: str, seq: int,
+                    profile: bytes) -> Reply:
+    try:
+        status, _ = server.service.accept_sequenced(client_id, seq, profile)
+    except ValueError as exc:
+        return _bad_payload(exc)
+    return FrameType.OK, status
+
+
+#: A relay's request table: pushes are spooled-and-acked instead of
+#: merged; metrics, snapshot and alerts are the root's own routes.
+#: SQL and the wait-state frames are answered ``unsupported``.
+RELAY_ROUTES = {
+    FrameType.PUSH: Route(_relay_push, _whole_body, gated=True),
+    FrameType.PUSH_SEQ: Route(_relay_push_seq, decode_push_seq,
+                              gated=True),
+    **{ftype: ROUTES[ftype] for ftype in (
+        FrameType.METRICS, FrameType.SNAPSHOT, FrameType.ALERTS)},
+}
+
+
 class RelayServer(AsyncProfileServer):
     """Event-loop front end for a :class:`RelayService`.
 
-    Reuses the entire asyncio transport (read timeouts, header-only
-    frame guard, bounded-slot backpressure, drain) and swaps the
-    dispatch: pushes are spooled-and-acked instead of merged into a
-    store, and a **forwarder thread** ships complete batches upstream
-    off the event loop (the one blocking hop a leaf has).  With
-    ``flush_interval`` set, partial batches are flushed on that cadence
-    too, so a trickle of collectors still reaches the root.
+    The whole asyncio transport (read timeouts, header-only frame
+    guard, bounded-slot backpressure, drain, metrics gauges) serving
+    :data:`RELAY_ROUTES`, plus a **forwarder thread** that ships
+    complete batches upstream off the event loop (the one blocking hop
+    a leaf has), woken by the relay's accept path whenever a whole
+    batch is spooled.  With ``flush_interval`` set, partial batches
+    are flushed on that cadence too, so a trickle of collectors still
+    reaches the root.
     """
+
+    routes = RELAY_ROUTES
 
     def __init__(self, relay: RelayService, host: str = "127.0.0.1",
                  port: int = 0, flush_interval: Optional[float] = 1.0):
         super().__init__(service=relay, host=host, port=port)
         self.relay = relay
         self.flush_interval = flush_interval
-        self._forward_wake = threading.Event()
         self._forward_stop = threading.Event()
         self._forwarder: Optional[threading.Thread] = None
 
     # -- forwarder thread ----------------------------------------------------
 
     def _forward_loop(self) -> None:
+        wake = self.relay.forward_wake
         while not self._forward_stop.is_set():
-            self._forward_wake.wait(timeout=self.flush_interval)
-            self._forward_wake.clear()
+            wake.wait(timeout=self.flush_interval)
+            wake.clear()
             if self._forward_stop.is_set():
                 break
             try:
@@ -476,7 +500,11 @@ class RelayServer(AsyncProfileServer):
 
     def signal_forward(self) -> None:
         """Wake the forwarder (a batch may be complete)."""
-        self._forward_wake.set()
+        self.relay.forward_wake.set()
+
+    def _stop_forwarder(self) -> None:
+        self._forward_stop.set()
+        self.relay.forward_wake.set()
 
     def drain(self, timeout: float = 5.0) -> bool:
         """Transport drain, then a final forward of everything spooled.
@@ -486,8 +514,7 @@ class RelayServer(AsyncProfileServer):
         check ``relay.pending_entries()`` for leftovers.
         """
         drained = super().drain(timeout)
-        self._forward_stop.set()
-        self._forward_wake.set()
+        self._stop_forwarder()
         if self._forwarder is not None:
             self._forwarder.join(timeout=max(timeout, 1.0))
         try:
@@ -497,68 +524,6 @@ class RelayServer(AsyncProfileServer):
         return drained
 
     def server_close(self) -> None:
-        self._forward_stop.set()
-        self._forward_wake.set()
+        self._stop_forwarder()
         super().server_close()
         self.relay.close()
-
-    # -- dispatch ------------------------------------------------------------
-
-    async def _dispatch(self, writer, ftype: int, payload: bytes) -> None:
-        relay = self.relay
-        if ftype == FrameType.PUSH:
-            async def work():
-                try:
-                    pset = relay.accept_payload(payload)
-                except ValueError:
-                    relay.note_rejected()
-                    raise
-                await self._send(writer, FrameType.OK,
-                                 f"relayed {pset.total_ops()} ops over "
-                                 f"{len(pset)} operations".encode("utf-8"))
-            if await self._ingest_gated(writer, work):
-                self._maybe_forward()
-        elif ftype == FrameType.PUSH_SEQ:
-            client_id, seq, profile = decode_push_seq(payload)
-
-            async def work():
-                try:
-                    status, _ = relay.accept_sequenced(client_id, seq,
-                                                       profile)
-                except ValueError as exc:
-                    relay.note_rejected()
-                    await self._send(writer, FrameType.ERROR,
-                                     f"bad-payload: {exc}".encode("utf-8"))
-                    return
-                await self._send(writer, FrameType.OK,
-                                 status.encode("utf-8"))
-            if await self._ingest_gated(writer, work):
-                self._maybe_forward()
-        elif ftype == FrameType.METRICS:
-            await self._send(writer, FrameType.TEXT,
-                             self.metrics_text().encode("utf-8"))
-        elif ftype == FrameType.SNAPSHOT:
-            await self._send(writer, FrameType.PROFILE,
-                             relay.snapshot().to_bytes())
-        elif ftype == FrameType.ALERTS:
-            request = decode_json(payload) if payload else {}
-            cursor = int(request.get("cursor", 0))
-            next_cursor, alerts = relay.alerts_since(cursor)
-            await self._send(writer, FrameType.ALERT_LOG, encode_json(
-                {"cursor": next_cursor, "alerts": alerts}))
-        else:
-            await self._send(writer, FrameType.ERROR,
-                             f"unsupported frame type "
-                             f"{FrameType.name(ftype)}".encode("utf-8"))
-
-    def _maybe_forward(self) -> None:
-        if len(self.relay.pending_entries()) >= self.relay.batch:
-            self.signal_forward()
-
-    def metrics_text(self) -> str:
-        return (self.relay.metrics_text()
-                + f"osprof_aio_connections_active "
-                  f"{self.active_connections}\n"
-                + f"osprof_aio_connections_total {self.connections_total}\n"
-                + f"osprof_aio_parser_buffered_max "
-                  f"{self.max_parser_buffered}\n")

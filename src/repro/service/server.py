@@ -1,13 +1,13 @@
-"""The continuous profiling server: ingest, store, alert, report.
+"""The continuous profiling service: ingest, store, alert, report.
 
 :class:`ProfileService` is the transport-agnostic core — a thread-safe
 facade over the rolling :class:`~repro.service.store.SegmentStore` and
-the :class:`~repro.service.alerts.DifferentialAlerter` — and
-:class:`ProfileServer` exposes it over TCP with the
-:mod:`repro.service.protocol` framing.  One thread per connection
-(collectors hold connections open and stream ``PUSH`` frames); all
-shared state is guarded by a single lock, which is ample because a
-profile merge is microseconds of histogram addition.
+the :class:`~repro.service.alerts.DifferentialAlerter`.
+:class:`~repro.service.aio_server.AsyncProfileServer` serves it over
+TCP with the :mod:`repro.service.protocol` framing, one request table
+entry per frame type.  All shared state is guarded by a single lock,
+which is ample because a profile merge is microseconds of histogram
+addition.
 
 The service is itself observable: the ``METRICS`` request returns a
 plaintext page (Prometheus exposition style) of segment counts, ingest
@@ -16,8 +16,6 @@ totals and latencies, and per-operation alert counters.
 
 from __future__ import annotations
 
-import socket
-import socketserver
 import threading
 import time
 from collections import deque
@@ -28,13 +26,10 @@ from ..core.buckets import BucketSpec
 from ..core.profileset import ProfileSet
 from ..sampling.stateprofile import StateProfile
 from .alerts import Alert, DifferentialAlerter
-from .protocol import (MAX_PAYLOAD, FrameTooLarge, FrameType, ProtocolError,
-                       decode_json, decode_push_seq, decode_state_push,
-                       encode_json, encode_retry_after, recv_frame,
-                       send_frame)
+from .protocol import MAX_PAYLOAD
 from .store import PushLedger, SegmentStore
 
-__all__ = ["ServiceConfig", "ProfileService", "ProfileServer"]
+__all__ = ["ServiceConfig", "GuardedService", "ProfileService"]
 
 
 @dataclass
@@ -74,7 +69,47 @@ class ServiceConfig:
     state_window: int = 64
 
 
-class ProfileService:
+class GuardedService:
+    """The self-defence surface the transport drives, shared by every service.
+
+    Bounded ingest slots (``config.max_pending``; a push that finds
+    none free is answered ``RETRY_AFTER``) and the counters of each
+    time the service had to defend itself, guarded by the service's
+    one lock.
+    """
+
+    def __init__(self, config: Optional[ServiceConfig]):
+        self.config = config if config is not None else ServiceConfig()
+        if self.config.max_pending < 1:
+            raise ValueError("max_pending must be >= 1")
+        self._lock = threading.Lock()
+        self._ingest_slots = threading.BoundedSemaphore(
+            self.config.max_pending)
+        self.backpressure_rejections = 0
+        self.frames_oversize = 0
+        self.read_timeouts = 0
+
+    def try_acquire_ingest_slot(self) -> bool:
+        """Claim one bounded ingest slot; False means *back off*."""
+        return self._ingest_slots.acquire(blocking=False)
+
+    def release_ingest_slot(self) -> None:
+        self._ingest_slots.release()
+
+    def note_backpressure(self) -> None:
+        with self._lock:
+            self.backpressure_rejections += 1
+
+    def note_oversize_frame(self) -> None:
+        with self._lock:
+            self.frames_oversize += 1
+
+    def note_read_timeout(self) -> None:
+        with self._lock:
+            self.read_timeouts += 1
+
+
+class ProfileService(GuardedService):
     """Thread-safe ingestion + rolling store + online alerting.
 
     With a ``warehouse`` attached, the service is durable: every
@@ -89,7 +124,7 @@ class ProfileService:
     def __init__(self, config: Optional[ServiceConfig] = None,
                  clock: Callable[[], float] = time.monotonic,
                  warehouse=None, warehouse_source: str = "service"):
-        self.config = config if config is not None else ServiceConfig()
+        super().__init__(config)
         spec = BucketSpec(self.config.resolution)
         self.warehouse = warehouse
         self.warehouse_source = warehouse_source
@@ -114,17 +149,12 @@ class ProfileService:
             self.baseline_seeded = self.alerter.seed(
                 warehouse.recent_psets(warehouse_source,
                                        self.config.baseline_segments))
-        if self.config.max_pending < 1:
-            raise ValueError("max_pending must be >= 1")
-        self._lock = threading.Lock()
         self._alerts: List[Alert] = []
         self._alerts_dropped = 0
         self.ledger = PushLedger()
         # Serializes the check-ingest-record window of sequenced pushes
         # so a replayed sequence racing its original cannot double-merge.
         self._seq_lock = threading.Lock()
-        self._ingest_slots = threading.BoundedSemaphore(
-            self.config.max_pending)
         # Ingest counters (all guarded by the lock).
         self.ingest_requests = 0
         self.ingest_errors = 0
@@ -132,12 +162,7 @@ class ProfileService:
         self.ingest_ops = 0
         self.ingest_seconds_sum = 0.0
         self.ingest_seconds_max = 0.0
-        # Degradation counters: how often the service had to defend
-        # itself (all guarded by the lock).
         self.ingest_duplicates = 0
-        self.backpressure_rejections = 0
-        self.frames_oversize = 0
-        self.read_timeouts = 0
         if self.config.state_window < 1:
             raise ValueError("state_window must be >= 1")
         # Wait-state sampling: a rolling window of recent STATE_PUSH
@@ -229,13 +254,11 @@ class ProfileService:
             self.sample_intervals_total += sprof.intervals
             self.sampler_overhead_ns_total += max(overhead_ns, 0)
             if self.warehouse is not None:
-                ingest_state = getattr(self.warehouse, "ingest_state",
-                                       None)
-                if ingest_state is not None:
-                    try:
-                        ingest_state(self.warehouse_source, sprof)
-                    except (OSError, ValueError):
-                        self.warehouse_flush_errors += 1
+                try:
+                    self.warehouse.ingest_state(self.warehouse_source,
+                                                sprof)
+                except (OSError, ValueError):
+                    self.warehouse_flush_errors += 1
         return sprof
 
     def state_snapshot(self) -> StateProfile:
@@ -243,27 +266,6 @@ class ProfileService:
         with self._lock:
             return StateProfile.merged(self._state_window,
                                        name="state-window")
-
-    # -- self-defence accounting ------------------------------------------
-
-    def try_acquire_ingest_slot(self) -> bool:
-        """Claim one bounded ingest slot; False means *back off*."""
-        return self._ingest_slots.acquire(blocking=False)
-
-    def release_ingest_slot(self) -> None:
-        self._ingest_slots.release()
-
-    def note_backpressure(self) -> None:
-        with self._lock:
-            self.backpressure_rejections += 1
-
-    def note_oversize_frame(self) -> None:
-        with self._lock:
-            self.frames_oversize += 1
-
-    def note_read_timeout(self) -> None:
-        with self._lock:
-            self.read_timeouts += 1
 
     def tick(self, now: Optional[float] = None) -> List[Alert]:
         """Rotate the store on the clock alone (no push needed).
@@ -316,14 +318,8 @@ class ProfileService:
             return
         batch = [(pset, self._epoch_base + index)
                  for index, pset in self._flush_queue]
-        ingest_many = getattr(self.warehouse, "ingest_many", None)
         try:
-            if ingest_many is not None:
-                ingest_many(self.warehouse_source, batch)
-            else:  # duck-typed warehouse double: per-segment commits
-                for pset, epoch in batch:
-                    self.warehouse.ingest(self.warehouse_source, pset,
-                                          epoch=epoch)
+            self.warehouse.ingest_many(self.warehouse_source, batch)
         except (OSError, ValueError):
             self.warehouse_flush_errors += 1
             for index, _ in self._flush_queue:
@@ -384,6 +380,7 @@ class ProfileService:
 
     def metrics_text(self) -> str:
         """The plaintext metrics page (Prometheus exposition style)."""
+        wh = self.warehouse
         with self._lock:
             lines = [
                 "# OSprof continuous profiling service",
@@ -408,24 +405,24 @@ class ProfileService:
                 f"osprof_read_timeouts_total {self.read_timeouts}",
                 f"osprof_push_clients {len(self.ledger)}",
                 f"osprof_warehouse_segments_total "
-                f"{self.warehouse.segments_total if self.warehouse else 0}",
+                f"{wh.segments_total if wh else 0}",
                 f"osprof_warehouse_compactions_total "
-                f"{self.warehouse.compactions_total if self.warehouse else 0}",
+                f"{wh.compactions_total if wh else 0}",
                 f"osprof_warehouse_gc_evictions_total "
-                f"{self.warehouse.gc_evictions_total if self.warehouse else 0}",
+                f"{wh.gc_evictions_total if wh else 0}",
                 f"osprof_warehouse_flush_errors_total "
                 f"{self.warehouse_flush_errors}",
                 f"osprof_warehouse_flush_pending {len(self._flush_queue)}",
                 f"osprof_warehouse_cache_hits_total "
-                f"{getattr(self.warehouse, 'cache_hits_total', 0)}",
+                f"{wh.cache_hits_total if wh else 0}",
                 f"osprof_warehouse_cache_misses_total "
-                f"{getattr(self.warehouse, 'cache_misses_total', 0)}",
+                f"{wh.cache_misses_total if wh else 0}",
                 f"osprof_warehouse_scrub_scanned_total "
-                f"{getattr(self.warehouse, 'scrub_scanned_total', 0)}",
+                f"{wh.scrub_scanned_total if wh else 0}",
                 f"osprof_warehouse_scrub_corrupt_total "
-                f"{getattr(self.warehouse, 'scrub_corrupt_total', 0)}",
+                f"{wh.scrub_corrupt_total if wh else 0}",
                 f"osprof_warehouse_scrub_repaired_total "
-                f"{getattr(self.warehouse, 'scrub_repaired_total', 0)}",
+                f"{wh.scrub_repaired_total if wh else 0}",
                 f"osprof_state_pushes_total {self.state_pushes}",
                 f"osprof_state_errors_total {self.state_errors}",
                 f"osprof_state_window {len(self._state_window)}",
@@ -444,204 +441,3 @@ class ProfileService:
                     f'osprof_alerts{{operation="{op}",kind="{kind}"}} '
                     f"{count}")
             return "\n".join(lines) + "\n"
-
-
-class _Handler(socketserver.BaseRequestHandler):
-    """One collector connection: a loop of request/response frames."""
-
-    def setup(self) -> None:
-        service: ProfileService = self.server.service  # type: ignore
-        if service.config.read_timeout is not None:
-            self.request.settimeout(service.config.read_timeout)
-        self.server._connection_opened()  # type: ignore[attr-defined]
-
-    def finish(self) -> None:
-        self.server._connection_closed()  # type: ignore[attr-defined]
-
-    def handle(self) -> None:
-        service: ProfileService = self.server.service  # type: ignore
-        while True:
-            try:
-                frame = recv_frame(self.request,
-                                   max_payload=service.config.max_frame_bytes)
-            except FrameTooLarge as exc:
-                # Reject from the header alone; tell the peer why, then
-                # drop the stream (its payload bytes would desync us).
-                service.note_oversize_frame()
-                try:
-                    send_frame(self.request, FrameType.ERROR,
-                               str(exc).encode("utf-8"))
-                except OSError:
-                    pass
-                return
-            except socket.timeout:
-                service.note_read_timeout()
-                return  # idle or wedged peer: reclaim the thread
-            except ProtocolError:
-                return  # desynchronized stream: drop the connection
-            except OSError:
-                return  # peer vanished between frames
-            if frame is None:
-                return
-            ftype, payload = frame
-            try:
-                self._dispatch(service, ftype, payload)
-            except ProtocolError:
-                return
-            except ValueError as exc:
-                send_frame(self.request, FrameType.ERROR,
-                           str(exc).encode("utf-8"))
-            except OSError:
-                return  # peer went away mid-reply
-
-    def _ingest_gated(self, service: ProfileService, work) -> bool:
-        """Run one ingest under the bounded-slot gate.
-
-        Returns False (after sending ``RETRY_AFTER``) when every slot is
-        taken — the bounded queue that sheds load instead of stacking
-        unbounded handler threads behind the store lock.
-        """
-        if not service.try_acquire_ingest_slot():
-            service.note_backpressure()
-            send_frame(self.request, FrameType.RETRY_AFTER,
-                       encode_retry_after(
-                           service.config.retry_after_seconds))
-            return False
-        try:
-            work()
-        finally:
-            service.release_ingest_slot()
-        return True
-
-    def _dispatch(self, service: ProfileService, ftype: int,
-                  payload: bytes) -> None:
-        if ftype == FrameType.PUSH:
-            def work():
-                pset = service.ingest_payload(payload)
-                send_frame(self.request, FrameType.OK,
-                           f"merged {pset.total_ops()} ops over "
-                           f"{len(pset)} operations".encode("utf-8"))
-            self._ingest_gated(service, work)
-        elif ftype == FrameType.PUSH_SEQ:
-            client_id, seq, profile = decode_push_seq(payload)
-
-            def work():
-                try:
-                    status, _ = service.ingest_sequenced(
-                        client_id, seq, profile)
-                except ValueError as exc:
-                    # Distinguish a payload damaged in transit (safe to
-                    # resend under the same sequence) from a genuine
-                    # rejection; the client retries `bad-payload:` only.
-                    send_frame(self.request, FrameType.ERROR,
-                               f"bad-payload: {exc}".encode("utf-8"))
-                    return
-                send_frame(self.request, FrameType.OK,
-                           status.encode("utf-8"))
-            self._ingest_gated(service, work)
-        elif ftype == FrameType.METRICS:
-            service.tick()
-            send_frame(self.request, FrameType.TEXT,
-                       service.metrics_text().encode("utf-8"))
-        elif ftype == FrameType.SNAPSHOT:
-            send_frame(self.request, FrameType.PROFILE,
-                       service.snapshot().to_bytes())
-        elif ftype == FrameType.ALERTS:
-            request = decode_json(payload) if payload else {}
-            cursor = int(request.get("cursor", 0))
-            service.tick()
-            next_cursor, alerts = service.alerts_since(cursor)
-            send_frame(self.request, FrameType.ALERT_LOG, encode_json(
-                {"cursor": next_cursor,
-                 "alerts": [a.to_dict() for a in alerts]}))
-        elif ftype == FrameType.SQL:
-            request = decode_json(payload) if payload else {}
-            send_frame(self.request, FrameType.TABLE,
-                       encode_json(service.sql(str(request.get("sql",
-                                                               "")))))
-        elif ftype == FrameType.STATE_PUSH:
-            overhead_ns, profile = decode_state_push(payload)
-
-            def state_work():
-                try:
-                    sprof = service.ingest_state(profile,
-                                                 overhead_ns=overhead_ns)
-                except ValueError as exc:
-                    send_frame(self.request, FrameType.ERROR,
-                               f"bad-payload: {exc}".encode("utf-8"))
-                    return
-                send_frame(self.request, FrameType.OK,
-                           f"sampled {sprof.total_samples()} samples "
-                           f"over {sprof.intervals} interval(s)"
-                           .encode("utf-8"))
-            self._ingest_gated(service, state_work)
-        elif ftype == FrameType.STATE_SNAPSHOT:
-            send_frame(self.request, FrameType.STATE_PROFILE,
-                       service.state_snapshot().to_bytes())
-        else:
-            send_frame(self.request, FrameType.ERROR,
-                       f"unsupported frame type "
-                       f"{FrameType.name(ftype)}".encode("utf-8"))
-
-
-class ProfileServer(socketserver.ThreadingTCPServer):
-    """TCP front end; ``port=0`` picks a free port (see ``address``)."""
-
-    allow_reuse_address = True
-    daemon_threads = True
-
-    def __init__(self, service: Optional[ProfileService] = None,
-                 host: str = "127.0.0.1", port: int = 0):
-        self.service = service if service is not None else ProfileService()
-        self._conn_lock = threading.Lock()
-        self._conn_idle = threading.Condition(self._conn_lock)
-        self._conn_active = 0
-        super().__init__((host, port), _Handler)
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The bound (host, port) — the port is real even if 0 was asked."""
-        return self.socket.getsockname()[:2]
-
-    def serve_in_thread(self) -> threading.Thread:
-        """Start serving on a daemon thread (tests and embedded use)."""
-        thread = threading.Thread(target=self.serve_forever,
-                                  name="osprof-serve", daemon=True)
-        thread.start()
-        return thread
-
-    # -- connection accounting & graceful drain ----------------------------
-
-    def _connection_opened(self) -> None:
-        with self._conn_lock:
-            self._conn_active += 1
-
-    def _connection_closed(self) -> None:
-        with self._conn_lock:
-            self._conn_active -= 1
-            if self._conn_active <= 0:
-                self._conn_idle.notify_all()
-
-    @property
-    def active_connections(self) -> int:
-        with self._conn_lock:
-            return self._conn_active
-
-    def drain(self, timeout: float = 5.0) -> bool:
-        """Graceful shutdown: stop accepting, wait for in-flight peers.
-
-        Returns True if every connection finished inside *timeout*.
-        Handlers already parked on an idle read keep their sockets until
-        their read timeout expires, so the timeout here caps how long a
-        lingering ``watch`` client can hold shutdown hostage; leftovers
-        are abandoned to process exit (they are daemon threads).
-        """
-        self.shutdown()
-        deadline = time.monotonic() + max(timeout, 0.0)
-        with self._conn_lock:
-            while self._conn_active > 0:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._conn_idle.wait(remaining)
-        return True

@@ -69,6 +69,25 @@ class TestAcceptPath:
         status, fresh = relay.accept_sequenced("c1", 1, pset(1).to_bytes())
         assert fresh
 
+    def test_rejections_counted_on_both_accept_paths(self, tmp_path):
+        relay = make_relay(tmp_path, ("127.0.0.1", 1))
+        with pytest.raises(ValueError):
+            relay.accept_sequenced("c1", 1, b"garbage")
+        with pytest.raises(ValueError):
+            relay.accept_payload(b"garbage")
+        assert relay.rejected == 2
+        assert relay.accepted == 0
+
+    def test_full_batch_wakes_the_forwarder(self, tmp_path):
+        relay = make_relay(tmp_path, ("127.0.0.1", 1), batch=3)
+        relay.accept_sequenced("c1", 1, pset(1).to_bytes())
+        relay.accept_payload(pset(2).to_bytes())
+        assert not relay.forward_wake.is_set()
+        relay.accept_sequenced("c1", 1, pset(1).to_bytes())  # duplicate
+        assert not relay.forward_wake.is_set()
+        relay.accept_payload(pset(3).to_bytes())
+        assert relay.forward_wake.is_set()
+
     def test_snapshot_merges_pending(self, tmp_path):
         relay = make_relay(tmp_path, ("127.0.0.1", 1))
         sent = [pset(i) for i in range(3)]

@@ -10,7 +10,8 @@ from repro.core.profileset import ProfileSet
 from repro.service.client import ServiceClient, ServiceError, parse_endpoint
 from repro.service.protocol import (MAGIC, FrameType, decode_retry_after,
                                     encode_push_seq, recv_frame, send_frame)
-from repro.service.server import ProfileServer, ProfileService, ServiceConfig
+from repro.service.aio_server import AsyncProfileServer
+from repro.service.server import ProfileService, ServiceConfig
 
 
 class FakeClock:
@@ -41,10 +42,9 @@ def service():
 
 @pytest.fixture
 def server(service):
-    srv = ProfileServer(service)
+    srv = AsyncProfileServer(service)
     srv.serve_in_thread()
     yield srv
-    srv.shutdown()
     srv.server_close()
 
 
@@ -219,7 +219,7 @@ class TestHardening:
         assert service.backpressure_rejections == 1
 
     def test_oversize_frame_rejected_and_counted(self, service):
-        server = ProfileServer(ProfileService(ServiceConfig(
+        server = AsyncProfileServer(ProfileService(ServiceConfig(
             max_frame_bytes=1024)))
         server.serve_in_thread()
         try:
@@ -235,11 +235,10 @@ class TestHardening:
                 assert sock.recv(1024) == b""  # connection dropped
             assert server.service.frames_oversize == 1
         finally:
-            server.shutdown()
             server.server_close()
 
     def test_idle_connection_times_out_and_is_counted(self):
-        server = ProfileServer(ProfileService(ServiceConfig(
+        server = AsyncProfileServer(ProfileService(ServiceConfig(
             read_timeout=0.05)))
         server.serve_in_thread()
         try:
@@ -253,7 +252,6 @@ class TestHardening:
                 time.sleep(0.01)
             assert server.service.read_timeouts == 1
         finally:
-            server.shutdown()
             server.server_close()
 
     def test_rejects_nonpositive_max_pending(self):
@@ -263,14 +261,14 @@ class TestHardening:
 
 class TestGracefulDrain:
     def test_drain_idle_server_is_immediate(self, service):
-        server = ProfileServer(service)
+        server = AsyncProfileServer(service)
         server.serve_in_thread()
         assert server.drain(timeout=5.0)
         assert server.active_connections == 0
         server.server_close()
 
     def test_drain_waits_for_inflight_connection(self, service):
-        server = ProfileServer(service)
+        server = AsyncProfileServer(service)
         server.serve_in_thread()
         host, port = server.address
         sock = socket.create_connection((host, port), timeout=10)
@@ -376,6 +374,11 @@ class TestWarehouseIntegration:
             segments_total = 0
             compactions_total = 0
             gc_evictions_total = 0
+            cache_hits_total = 0
+            cache_misses_total = 0
+            scrub_scanned_total = 0
+            scrub_corrupt_total = 0
+            scrub_repaired_total = 0
 
             class index:
                 @staticmethod
@@ -385,7 +388,7 @@ class TestWarehouseIntegration:
             def recent_psets(self, source, count):
                 return []
 
-            def ingest(self, source, pset, epoch=None):
+            def ingest_many(self, source, items):
                 raise OSError("disk full")
 
         clock = FakeClock()
@@ -405,11 +408,19 @@ class TestWarehouseIntegration:
         svc.ingest_payload(pset(STEADY).to_bytes())
         svc.test_clock.now += 5.0
         svc.tick()
+        svc.warehouse.query("svc")
+        svc.warehouse.query("svc")
+        svc.warehouse.scrub()
         text = svc.metrics_text()
         assert "osprof_warehouse_segments_total 1" in text
         assert "osprof_warehouse_compactions_total 0" in text
         assert "osprof_warehouse_gc_evictions_total 0" in text
         assert "osprof_warehouse_flush_errors_total 0" in text
+        assert "osprof_warehouse_cache_hits_total 1" in text
+        assert "osprof_warehouse_cache_misses_total 1" in text
+        assert "osprof_warehouse_scrub_scanned_total 1" in text
+        assert "osprof_warehouse_scrub_corrupt_total 0" in text
+        assert "osprof_warehouse_scrub_repaired_total 0" in text
 
     def test_metrics_present_without_warehouse(self, service):
         # The counters exist (at zero) even when serve has no --db, so
