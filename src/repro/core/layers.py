@@ -6,17 +6,18 @@ at adjacent levels to isolate each layer's contribution ("the comparison
 of user-level and file-system-level profiles helps isolate VFS behavior
 from the behavior of lower file systems").
 
-:class:`LayerStack` holds one profiler per layer, hands out the right
-profiler to instrumentation points, and implements the cross-layer
-subtraction used for isolation.
+:class:`LayerStack` holds one profiler per layer and hands out the
+right profiler to instrumentation points; :func:`isolate_layer`
+implements the cross-layer subtraction used for isolation.  (Simulated
+layers record through probes instead: see
+:meth:`repro.system.System.build`.)
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from .buckets import BucketSpec
-from .pipeline import Pipeline, ProbePoint, wire_probe
 from .profile import Layer, Profile
 from .profileset import ProfileSet
 from .profiler import Profiler
@@ -25,43 +26,23 @@ __all__ = ["LayerStack", "isolate_layer"]
 
 
 class LayerStack:
-    """An ordered stack of profilers, outermost (user) first.
-
-    The stack owns (or shares, via ``pipeline=``) a probe/event
-    pipeline; :meth:`probe` hands out one lazily wired
-    :class:`~repro.core.pipeline.ProbePoint` per layer, so a whole
-    Figure 2 stack emits through a single batched capture path with one
-    request-id space.
-    """
+    """An ordered stack of profilers, outermost (user) first."""
 
     def __init__(self, layers: List[str],
                  clock: Callable[[], float],
-                 spec: Optional[BucketSpec] = None,
-                 pipeline: Optional[Pipeline] = None):
+                 spec: Optional[BucketSpec] = None):
         if not layers:
             raise ValueError("at least one layer is required")
         if len(set(layers)) != len(layers):
             raise ValueError("layer names must be unique")
         self.order = list(layers)
-        self.pipeline = pipeline if pipeline is not None else Pipeline()
         self._profilers: Dict[str, Profiler] = {
             layer: Profiler(name=layer, layer=layer, clock=clock, spec=spec)
             for layer in layers}
-        self._probes: Dict[str, ProbePoint] = {}
 
     def profiler(self, layer: str) -> Profiler:
         """The profiler serving one layer; KeyError for unknown layers."""
         return self._profilers[layer]
-
-    def probe(self, layer: str) -> ProbePoint:
-        """The layer's ProbePoint on the shared pipeline (lazily wired)."""
-        point = self._probes.get(layer)
-        if point is None:
-            profiler = self._profilers[layer]  # KeyError for unknown
-            point = wire_probe(self.pipeline, layer, profiler=profiler,
-                               clock=profiler.clock, name=layer)
-            self._probes[layer] = point
-        return point
 
     def layers(self) -> List[str]:
         return list(self.order)

@@ -7,6 +7,11 @@ instrumented layer emits through a :class:`ProbePoint` into composable
 :class:`EventSink` implementations, instead of hand-wiring calls to
 ``Profiler`` / ``SampledProfiler`` / ``ValueCorrelator`` at each site.
 
+The machine builder (:meth:`repro.system.System.build`) wires one probe
+per profiled layer with :func:`wire_probe` and hands it to the layer; a
+layer records through ``ProbePoint.record`` and propagates request
+identity with ``push_context``/``pop_context``.
+
 Three ideas compose here:
 
 * **Cross-layer request contexts.**  A :class:`RequestContext` is
@@ -38,19 +43,16 @@ Three ideas compose here:
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
+                    Union)
 
 from .buckets import BucketSpec
 from .profile import Layer
 from .profileset import ProfileSet
-from .profiler import TokenFinishedError, tsc_clock
 from .sampling import SampledProfiler
 
 __all__ = [
     "RequestContext",
-    "ProbeToken",
     "ProbePoint",
     "Pipeline",
     "EventSink",
@@ -62,7 +64,6 @@ __all__ = [
     "TraceSink",
     "TraceEvent",
     "FanoutSink",
-    "TokenFinishedError",
     "wire_probe",
 ]
 
@@ -135,24 +136,6 @@ class RequestContext:
     def __repr__(self) -> str:
         frames = "->".join(op for _, op in self.path)
         return f"<RequestContext #{self.request_id} {frames}>"
-
-
-class ProbeToken:
-    """FSPROF_PRE state: the entry timestamp plus the request context.
-
-    A token may be finished exactly once; a second :meth:`ProbePoint.exit`
-    is an instrumentation bug and raises :class:`TokenFinishedError`.
-    """
-
-    __slots__ = ("operation", "start", "context", "cpu", "_done")
-
-    def __init__(self, operation: str, start: float,
-                 context: Optional[RequestContext] = None, cpu: int = 0):
-        self.operation = operation
-        self.start = start
-        self.context = context
-        self.cpu = cpu
-        self._done = False
 
 
 class EventSink:
@@ -420,7 +403,7 @@ class FanoutSink(EventSink):
 
 
 class ProbePoint:
-    """Entry/exit instrumentation for one layer, emitting to sinks.
+    """One layer's instrumentation point, emitting to sinks.
 
     The record path is deliberately tiny: clamp, append one tuple to the
     owning pipeline's per-CPU buffer, maybe trigger a drain.  All
@@ -428,18 +411,15 @@ class ProbePoint:
     (only :class:`NullSink`, or nothing) deactivates the path entirely.
     """
 
-    __slots__ = ("pipeline", "layer", "name", "sinks", "clock", "active",
+    __slots__ = ("pipeline", "layer", "name", "sinks", "active",
                  "events_recorded", "_buffers", "_batch_size", "_fast")
 
     def __init__(self, pipeline: "Pipeline", layer: str,
-                 sinks: Sequence[EventSink],
-                 clock: Optional[Callable[[], float]] = None,
-                 name: str = ""):
+                 sinks: Sequence[EventSink], name: str = ""):
         self.pipeline = pipeline
         self.layer = layer
         self.name = name or layer
         self.sinks = tuple(sinks)
-        self.clock = clock
         self.active = any(not isinstance(s, NullSink) for s in self.sinks)
         self.events_recorded = 0
         self._buffers = pipeline._buffers
@@ -524,51 +504,6 @@ class ProbePoint:
             self._drain_fast()
             self._fast = None
 
-    # -- entry/exit API -----------------------------------------------------
-
-    def enter(self, operation: str,
-              context: Optional[RequestContext] = None,
-              parent: Optional[RequestContext] = None,
-              cpu: int = 0) -> ProbeToken:
-        """FSPROF_PRE: read the clock, stamp a context, return a token.
-
-        ``context`` uses an existing frame as-is; ``parent`` derives a
-        child frame from it; with neither, a fresh root context is
-        stamped (a new request id).
-        """
-        if context is None:
-            if parent is not None:
-                context = parent.child(operation, self.layer)
-            else:
-                context = self.pipeline.new_context(operation, self.layer)
-        start = self.clock() if self.clock is not None else 0.0
-        return ProbeToken(operation, start, context, cpu)
-
-    def exit(self, token: ProbeToken) -> float:
-        """FSPROF_POST: measure, clamp, and emit.  Returns the latency."""
-        if token._done:
-            raise TokenFinishedError(
-                f"probe token for {token.operation!r} finished twice")
-        token._done = True
-        end = self.clock() if self.clock is not None else 0.0
-        latency = end - token.start
-        if latency < 0.0:
-            latency = 0.0
-        self.record(token.operation, latency, start=token.start,
-                    context=token.context, cpu=token.cpu)
-        return latency
-
-    @contextmanager
-    def request(self, operation: str,
-                parent: Optional[RequestContext] = None,
-                cpu: int = 0) -> Iterator[ProbeToken]:
-        """Probe the body of a ``with`` block as one request."""
-        token = self.enter(operation, parent=parent, cpu=cpu)
-        try:
-            yield token
-        finally:
-            self.exit(token)
-
     # -- context propagation through simulated processes --------------------
 
     def push_context(self, proc, operation: str) -> RequestContext:
@@ -606,14 +541,12 @@ class Pipeline:
     """
 
     def __init__(self, num_cpus: int = 1,
-                 batch_size: int = DEFAULT_BATCH_SIZE,
-                 clock: Optional[Callable[[], float]] = None):
+                 batch_size: int = DEFAULT_BATCH_SIZE):
         if num_cpus < 1:
             raise ValueError("need at least one CPU buffer")
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         self.batch_size = batch_size
-        self.clock = clock
         self._buffers: List[list] = [[] for _ in range(num_cpus)]
         self._probes: List[ProbePoint] = []
         self._global_sinks: List[EventSink] = []
@@ -623,12 +556,13 @@ class Pipeline:
     # -- construction -------------------------------------------------------
 
     def probe(self, layer: str, *sinks: EventSink,
-              clock: Optional[Callable[[], float]] = None,
               name: str = "") -> ProbePoint:
-        """Create a probe for one layer, wired to *sinks*."""
-        point = ProbePoint(self, layer, sinks,
-                           clock=clock if clock is not None else self.clock,
-                           name=name)
+        """Create a probe for one layer, wired to *sinks*.
+
+        With no sinks (and no global sink) the probe is inactive: it
+        records nothing and stamps no request contexts.
+        """
+        point = ProbePoint(self, layer, sinks, name=name)
         if self._global_sinks:
             point.active = True
         self._probes.append(point)
@@ -712,27 +646,26 @@ class Pipeline:
 
 def wire_probe(pipeline: Pipeline, layer: str,
                profiler=None, sampled: Optional[SampledProfiler] = None,
-               extra_sinks: Sequence[EventSink] = (),
-               clock: Optional[Callable[[], float]] = None,
                name: str = "") -> ProbePoint:
     """Build a probe feeding a Profiler and/or SampledProfiler.
 
-    This is the standard layer wiring: the profiler's ProfileSet gets a
-    :class:`ProfileSink` (resolved through the profiler so ``reset()``
-    keeps working), the sampled profiler a :class:`SamplingSink`, and
-    both get the pipeline's flush attached so reading results always
-    observes drained buffers.  With neither target and no extra sinks
-    the probe gets a :class:`NullSink` — the measured-zero off variant.
+    This is the one layer wiring (``System.build`` calls it for the
+    driver, file-system and user layers): the profiler's ProfileSet
+    gets a :class:`ProfileSink` (resolved through the profiler so
+    ``reset()`` keeps working), the sampled profiler a
+    :class:`SamplingSink`, and both get the pipeline's flush attached
+    so reading results always observes drained buffers.  With neither
+    target the probe gets a :class:`NullSink` — the measured-zero off
+    variant.
     """
     sinks: List[EventSink] = []
     if profiler is not None:
         sinks.append(ProfileSink(lambda: profiler.profiles))
     if sampled is not None:
         sinks.append(SamplingSink(sampled))
-    sinks.extend(extra_sinks)
     if not sinks:
         sinks.append(NullSink())
-    probe = pipeline.probe(layer, *sinks, clock=clock, name=name)
+    probe = pipeline.probe(layer, *sinks, name=name)
     if profiler is not None:
         profiler.attach_flush(pipeline.flush)
     if sampled is not None:

@@ -78,11 +78,9 @@ class ProcFs:
         command = data.strip()
         if command == "reset":
             self._profilers[name].reset()
-        elif command in ("enable", "disable"):
-            self._profilers[name].enabled = (command == "enable")
         else:
             raise ValueError(f"unknown command {command!r} "
-                             "(expected reset/enable/disable)")
+                             "(expected reset)")
 
     def snapshot(self, path: str) -> ProfileSet:
         """Parse a read back into a ProfileSet (a point-in-time copy)."""

@@ -33,7 +33,7 @@ NOMINAL_HZ = 1.7e9
 
 
 class TokenFinishedError(RuntimeError):
-    """A request/probe token was finished twice.
+    """A request token was finished twice.
 
     Each token represents exactly one in-flight request; a double finish
     means the instrumentation's entry/exit pairing is broken (the
@@ -88,12 +88,10 @@ class Profiler:
 
     def __init__(self, name: str = "", layer: str = Layer.FILESYSTEM,
                  clock: Optional[Callable[[], float]] = None,
-                 spec: Optional[BucketSpec] = None,
-                 enabled: bool = True):
+                 spec: Optional[BucketSpec] = None):
         self.layer = layer
         self.clock = clock if clock is not None else tsc_clock()
         self.profiles = ProfileSet(name=name, spec=spec)
-        self.enabled = enabled
         #: Overhead accounting: number of begin/end pairs processed.
         self.requests_profiled = 0
         self._flush_hooks = []
@@ -104,20 +102,17 @@ class Profiler:
         """FSPROF_PRE: read the cycle counter and remember it."""
         return RequestToken(operation, self.clock())
 
-    def end(self, token: RequestToken) -> Optional[float]:
+    def end(self, token: RequestToken) -> float:
         """FSPROF_POST: compute the latency and bucket it.
 
-        Returns the measured latency in cycles, or ``None`` when the
-        profiler is disabled.  Finishing a token twice is an
-        instrumentation bug and raises.
+        Returns the measured latency in cycles.  Finishing a token
+        twice is an instrumentation bug and raises.
         """
         now = self.clock()
         if token._done:
             raise TokenFinishedError(
                 f"request token for {token.operation!r} finished twice")
         token._done = True
-        if not self.enabled:
-            return None
         latency = now - token.start
         if latency < 0:
             # Clock skew across CPUs (Section 3.4) can make latencies
@@ -130,8 +125,6 @@ class Profiler:
 
     def record(self, operation: str, latency: float) -> None:
         """Record an externally measured latency (cycles) directly."""
-        if not self.enabled:
-            return
         if latency < 0:
             latency = 0.0
         self.profiles.add(operation, latency, layer=self.layer)

@@ -69,11 +69,9 @@ class DiskRequest:
 class Disk:
     """The block device engine fronting a pluggable device model.
 
-    With no ``model``, builds the classic single-spindle disk from the
-    legacy keyword arguments (``geometry``/``cache_segments``/
-    ``elevator``/``command_overhead``) — the byte-identity reference.
-    With ``model``, those knobs belong to the model and must be left at
-    their defaults.
+    With no ``model``, builds the default
+    :class:`~repro.disk.model.SpindleModel` (the paper's 15 kRPM disk,
+    the byte-identity reference); spindle knobs are set on the model.
 
     ``fault_plan`` arms the ``device.service`` site: a matching point
     marks the in-service attempt as a media error, exercising the same
@@ -82,10 +80,6 @@ class Disk:
     """
 
     def __init__(self, kernel: Kernel,
-                 geometry: Optional[DiskGeometry] = None,
-                 cache_segments: int = 8,
-                 elevator: bool = True,
-                 command_overhead: float = DEFAULT_COMMAND_OVERHEAD,
                  rng: Optional[SimRandom] = None,
                  error_rate: float = 0.0,
                  max_retries: int = 3,
@@ -95,8 +89,6 @@ class Disk:
             raise ValueError("error_rate must be in [0, 1)")
         if max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if model is not None and geometry is not None:
-            raise ValueError("give geometry or model, not both")
         self.kernel = kernel
         #: Failure injection: probability a media access fails and the
         #: drive retries internally (ECC error, remapped sector...).
@@ -110,10 +102,7 @@ class Disk:
         self.total_seek_cycles = 0.0
         self._fault_plan = fault_plan
         if model is None:
-            model = SpindleModel(
-                geometry=geometry if geometry is not None else DiskGeometry(),
-                cache_segments=cache_segments, elevator=elevator,
-                command_overhead=command_overhead)
+            model = SpindleModel()
         self.model = model
         model.attach(self)
         channels = model.channels()

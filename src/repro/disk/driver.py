@@ -13,11 +13,7 @@ process waits — under operations ``disk_read`` / ``disk_write``.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..core.pipeline import Pipeline, ProbePoint, wire_probe
-from ..core.profile import Layer
-from ..core.profiler import Profiler
+from ..core.pipeline import ProbePoint
 from ..sim.process import ProcBody
 from ..sim.scheduler import Kernel
 from .device import Disk, DiskRequest
@@ -30,36 +26,24 @@ class ScsiDriver:
 
     Attaches a completion listener to the device so that asynchronous
     writes — whose submitters never wait — are still measured dispatch
-    to completion.
+    to completion, through the driver-level ``probe`` (wired by
+    :meth:`repro.system.System.build`).
     """
 
     READ_OP = "disk_read"
     WRITE_OP = "disk_write"
 
-    def __init__(self, kernel: Kernel, disk: Disk,
-                 profiler: Optional[Profiler] = None,
-                 pipeline: Optional[Pipeline] = None,
-                 probe: Optional[ProbePoint] = None):
+    def __init__(self, kernel: Kernel, disk: Disk, probe: ProbePoint):
         self.kernel = kernel
         self.disk = disk
-        if profiler is None:
-            profiler = Profiler(name="scsi", layer=Layer.DRIVER,
-                                clock=lambda: kernel.now)
-        self.profiler = profiler
-        if probe is None:
-            owner = pipeline if pipeline is not None \
-                else Pipeline(num_cpus=len(kernel.cpus))
-            probe = wire_probe(owner, profiler.layer, profiler=profiler,
-                               name="driver")
         self.probe_point = probe
-        self.pipeline = probe.pipeline
         disk.on_complete.append(self._completed)
 
     def _completed(self, request: DiskRequest) -> None:
         operation = self.WRITE_OP if request.is_write else self.READ_OP
         self.probe_point.record(operation, request.latency,
-                          start=request.submitted_at,
-                          context=request.context)
+                                start=request.submitted_at,
+                                context=request.context)
 
     # -- submission API mirroring the device ----------------------------------
 
@@ -92,6 +76,3 @@ class ScsiDriver:
         request = self.submit_write(block)
         yield from self.disk.wait(request)
         return request
-
-    def profile_set(self):
-        return self.profiler.profile_set()

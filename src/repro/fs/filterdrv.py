@@ -15,11 +15,9 @@ trace shows.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
-from ..core.pipeline import Pipeline, ProbePoint, wire_probe
-from ..core.profile import Layer
-from ..core.profiler import Profiler
+from ..core.pipeline import ProbePoint
 from ..sim.process import ProcBody, Process
 from ..sim.scheduler import Kernel
 from ..vfs.file import File
@@ -41,25 +39,17 @@ MAJOR_FUNCTIONS: Dict[str, str] = {
 
 
 class FilterDriver:
-    """Profiled interception of all I/O destined for one file system."""
+    """Profiled interception of all I/O destined for one file system.
 
-    def __init__(self, kernel: Kernel, fs: FileSystem,
-                 profiler: Optional[Profiler] = None,
-                 pipeline: Optional[Pipeline] = None,
-                 probe: Optional[ProbePoint] = None):
+    Every intercepted operation records through ``probe``, a
+    file-system-level probe the caller wires (``wire_probe``) on the
+    machine's pipeline.
+    """
+
+    def __init__(self, kernel: Kernel, fs: FileSystem, probe: ProbePoint):
         self.kernel = kernel
         self.fs = fs
-        if profiler is None:
-            profiler = Profiler(name="filter", layer=Layer.FILESYSTEM,
-                                clock=lambda: kernel.now)
-        self.profiler = profiler
-        if probe is None:
-            owner = pipeline if pipeline is not None \
-                else Pipeline(num_cpus=len(kernel.cpus))
-            probe = wire_probe(owner, profiler.layer, profiler=profiler,
-                               name="filter")
         self.probe_point = probe
-        self.pipeline = probe.pipeline
         self.irps_seen = 0
         self.fastio_seen = 0
 
@@ -78,7 +68,7 @@ class FilterDriver:
         else:
             self.irps_seen += 1
         self.probe_point.record(f"{kind}_{major}", latency, start=start,
-                          context=context, cpu=cpu)
+                                context=context, cpu=cpu)
 
     def _intercept(self, proc: Process, kind: str, major: str,
                    body: ProcBody) -> ProcBody:
@@ -127,9 +117,6 @@ class FilterDriver:
             self.fs.fsync(proc, file)))
 
     # -- results ---------------------------------------------------------------------
-
-    def profile_set(self):
-        return self.profiler.profile_set()
 
     def fastio_share(self) -> float:
         total = self.irps_seen + self.fastio_seen

@@ -95,10 +95,6 @@ class CifsClient(FileSystem):
         #: peaks expose the delayed-ACK pathology directly.
         self.probe_point = probe
 
-    def attach_probe(self, probe) -> None:
-        """Wire the network-level probe (see ``net.mount``)."""
-        self.probe_point = probe
-
     # -- transport ----------------------------------------------------------
 
     def _on_packet(self, packet) -> None:

@@ -199,10 +199,6 @@ class NfsClient(FileSystem):
         #: ``rpc_<procedure>`` — Figure 2's NIC-adjacent layer.
         self.probe_point = probe
 
-    def attach_probe(self, probe) -> None:
-        """Wire the network-level probe (see ``net.mount``)."""
-        self.probe_point = probe
-
     # -- RPC plumbing --------------------------------------------------------
 
     def _on_packet(self, packet) -> None:

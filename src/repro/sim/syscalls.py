@@ -8,8 +8,9 @@ rescheduling, lock and semaphore contentions, and I/O delays."
 
 * kernel entry/exit (``proc.in_kernel`` depth, which controls whether a
   non-preemptive kernel may forcibly preempt), and
-* optional OSprof instrumentation — the FSPROF_PRE/FSPROF_POST macro
-  pair reading the current CPU's TSC.
+* OSprof instrumentation — the FSPROF_PRE/FSPROF_POST macro pair
+  reading the current CPU's TSC, emitting through the user-level
+  :class:`~repro.core.pipeline.ProbePoint` the machine builder wired.
 
 It also charges the fixed syscall entry/exit CPU cost, so even a
 zero-byte read has the small but nonzero latency of Figure 3's bucket-6
@@ -18,16 +19,12 @@ peak.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
-
-from ..core.pipeline import Pipeline, ProbePoint, wire_probe
-from ..core.profile import Layer
-from ..core.profiler import Profiler
-from ..core.sampling import SampledProfiler
+from ..core.pipeline import ProbePoint
 from .process import CpuBurst, ProcBody, Process
 from .scheduler import Kernel
 
-__all__ = ["SyscallLayer", "DEFAULT_SYSCALL_COST", "PROFILER_HOOK_COST"]
+__all__ = ["SyscallLayer", "DEFAULT_SYSCALL_COST", "PROFILER_HOOK_COST",
+           "VARIANTS", "hook_cost"]
 
 #: CPU cost of the syscall trap + return (cycles).  With the ~40-cycle
 #: zero-byte read body this puts null reads in bucket 6, as in Figure 3.
@@ -44,58 +41,49 @@ PROFILER_HOOK_COST = {
 }
 
 
+#: The Section 5.2 instrumentation ladder, cheapest first.
+VARIANTS = ("off", "empty", "tsc_only", "full")
+
+
+def hook_cost(variant: str) -> float:
+    """CPU cycles one PRE or POST hook burns under *variant*.
+
+    * ``off``      — no hooks at all,
+    * ``empty``    — hook calls with empty bodies,
+    * ``tsc_only`` — hooks that read the TSC only,
+    * ``full``     — the real profiler (sort + store split PRE/POST).
+    """
+    if variant not in VARIANTS:
+        raise ValueError(f"instrumentation variant must be one of "
+                         f"{VARIANTS}, not {variant!r}")
+    if variant == "off":
+        return 0.0
+    cost = PROFILER_HOOK_COST["call"]
+    if variant in ("tsc_only", "full"):
+        cost += PROFILER_HOOK_COST["tsc_read"]
+    if variant == "full":
+        cost += PROFILER_HOOK_COST["store"] / 2.0
+    return cost
+
+
 class SyscallLayer:
     """Dispatches profiled operations into the simulated kernel.
 
-    ``profiler`` (user level) and ``fs_profiler`` (file-system level)
-    are both optional; when attached, each profiled request additionally
-    pays the instrumentation CPU cost, so the overhead experiment of
-    Section 5.2 can be run by toggling instrumentation variants:
-
-    * ``instrumentation="off"``      — no hooks at all,
-    * ``instrumentation="empty"``    — hook calls with empty bodies,
-    * ``instrumentation="tsc_only"`` — hooks that read the TSC only,
-    * ``instrumentation="full"``     — the real profiler (default).
+    ``probe`` is the user-level probe (wired by
+    :meth:`repro.system.System.build`).  Each request pays the
+    :func:`hook_cost` of ``instrumentation``, so the overhead experiment
+    of Section 5.2 runs by switching variants; only ``full`` records.
     """
 
-    VARIANTS = ("off", "empty", "tsc_only", "full")
-
-    def __init__(self, kernel: Kernel,
-                 profiler: Optional[Profiler] = None,
-                 sampled: Optional[SampledProfiler] = None,
+    def __init__(self, kernel: Kernel, probe: ProbePoint,
                  syscall_cost: float = DEFAULT_SYSCALL_COST,
-                 instrumentation: str = "full",
-                 pipeline: Optional[Pipeline] = None,
-                 probe: Optional[ProbePoint] = None):
-        if instrumentation not in self.VARIANTS:
-            raise ValueError(f"instrumentation must be one of {self.VARIANTS}")
+                 instrumentation: str = "full"):
+        hook_cost(instrumentation)  # reject unknown variants up front
         self.kernel = kernel
-        self.profiler = profiler
-        self.sampled = sampled
+        self.probe_point = probe
         self.syscall_cost = syscall_cost
         self.instrumentation = instrumentation
         self.calls = 0
-        if probe is None:
-            owner = pipeline if pipeline is not None \
-                else Pipeline(num_cpus=len(kernel.cpus))
-            layer_label = profiler.layer if profiler is not None \
-                else Layer.USER
-            probe = wire_probe(owner, layer_label, profiler=profiler,
-                               sampled=sampled, name="syscall")
-        self.probe_point = probe
-        self.pipeline = probe.pipeline
-
-    def _hook_cost(self) -> float:
-        """CPU cycles one PRE or POST hook burns, per the variant."""
-        if self.instrumentation == "off" or (self.profiler is None
-                                             and self.sampled is None):
-            return 0.0
-        cost = PROFILER_HOOK_COST["call"]
-        if self.instrumentation in ("tsc_only", "full"):
-            cost += PROFILER_HOOK_COST["tsc_read"]
-        if self.instrumentation == "full":
-            cost += PROFILER_HOOK_COST["store"] / 2.0  # split PRE/POST
-        return cost
 
     def invoke(self, proc: Process, operation: str,
                body: ProcBody) -> ProcBody:
@@ -107,7 +95,7 @@ class SyscallLayer:
                                                 fs.read(proc, file, n))
         """
         self.calls += 1
-        hook = self._hook_cost()
+        hook = hook_cost(self.instrumentation)
         probe = self.probe_point
         # Stamp the root request context: this is where a request enters
         # the system, so every probed layer below shares its request id.

@@ -6,6 +6,12 @@ page cache, syscall layer, and the three profiling layers of Figure 2
 (user, file system, driver) — with the paper's hardware parameters as
 defaults (1.7 GHz CPU, 58 ms quantum, 15 kRPM disk).
 
+It is also the one place probes are wired: :meth:`System.build` creates
+one machine-wide :class:`~repro.core.pipeline.Pipeline`, wires one
+:class:`~repro.core.pipeline.ProbePoint` per profiled layer with
+:func:`~repro.core.pipeline.wire_probe`, and hands each layer its
+probe.
+
 Typical use::
 
     from repro import System
@@ -23,7 +29,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from .core.buckets import BucketSpec
-from .core.pipeline import Pipeline
+from .core.pipeline import Pipeline, wire_probe
 from .core.procfs import ProcFs
 from .core.profile import Layer
 from .core.profiler import Profiler
@@ -31,7 +37,6 @@ from .core.profileset import ProfileSet
 from .core.sampling import SampledProfiler
 from .disk.device import Disk
 from .disk.driver import ScsiDriver
-from .disk.geometry import DiskGeometry
 from .disk.model import DeviceModel
 from .fs.ext2 import Ext2
 from .fs.ext3 import Ext3
@@ -61,9 +66,9 @@ class System:
                  inodes: InodeTable, allocator: BlockAllocator,
                  fs, vfs: Vfs, syscalls: SyscallLayer,
                  user_profiler: Profiler, fs_profiler: Profiler,
-                 timer: Optional[TimerInterrupt],
+                 driver_profiler: Profiler,
+                 timer: Optional[TimerInterrupt], pipeline: Pipeline,
                  sampled: Optional[SampledProfiler] = None,
-                 pipeline: Optional[Pipeline] = None,
                  state_sampler: Optional[WaitStateSampler] = None):
         self.kernel = kernel
         self.engine = kernel.engine
@@ -76,7 +81,7 @@ class System:
         self.syscalls = syscalls
         self.user_profiler = user_profiler
         self.fs_profiler = fs_profiler
-        self.driver_profiler = driver.profiler
+        self.driver_profiler = driver_profiler
         self.timer = timer
         self.sampled = sampled
         #: Wait-state sampler (armed when built with
@@ -84,8 +89,7 @@ class System:
         self.state_sampler = state_sampler
         #: The machine-wide probe/event pipeline every instrumented
         #: layer emits through; one request-id space across layers.
-        self.pipeline = pipeline if pipeline is not None \
-            else syscalls.pipeline
+        self.pipeline = pipeline
         self.tree = TreeBuilder(inodes, allocator)
         self._root: Optional[Inode] = None
         #: The /proc reporting interface of Section 4: each profiling
@@ -94,7 +98,7 @@ class System:
         self.procfs = ProcFs()
         self.procfs.register("user", user_profiler)
         self.procfs.register("fs", fs_profiler)
-        self.procfs.register("driver", driver.profiler)
+        self.procfs.register("driver", driver_profiler)
 
     # -- construction -----------------------------------------------------------
 
@@ -110,7 +114,6 @@ class System:
               sample_interval: Optional[float] = None,
               state_sample_interval: Optional[float] = None,
               spec: Optional[BucketSpec] = None,
-              geometry: Optional[DiskGeometry] = None,
               device: Optional[DeviceModel] = None,
               fs_factory=None) -> "System":
         """Assemble a machine; see class docstring for the layout.
@@ -124,29 +127,28 @@ class System:
         :class:`~repro.sampling.WaitStateSampler` that periodically
         captures every process's (state, layer, op, wait_site) — the
         sampled view is read back via ``system.state_sampler.profile()``
-        and never perturbs the measured profiles.  ``device`` mounts a non-default device model
-        (SSD, RAID-0, throttled...) behind the same driver; ``geometry``
-        only reshapes the default spindle and is mutually exclusive
-        with it.  Scenario names resolve to devices one level up, in
+        and never perturbs the measured profiles.  ``device`` mounts a
+        non-default device model (SSD, RAID-0, throttled...) behind the
+        same driver.  Scenario names resolve to devices one level up, in
         :func:`repro.scenarios.build_system`.
+
+        Every profiled layer gets exactly one probe, wired here on the
+        machine-wide pipeline in driver, fs, user order; the layers
+        themselves take nothing but that probe.
         """
-        if device is not None and geometry is not None:
-            raise ValueError("give geometry or device, not both")
         rng = SimRandom(seed)
         kernel = Kernel(num_cpus=num_cpus, quantum=quantum,
                         kernel_preemption=kernel_preemption, rng=rng)
         # One pipeline spans the machine: every layer's probe shares its
         # request-id space and drains through the same batch buffers.
         pipeline = Pipeline(num_cpus=num_cpus)
-        if device is not None:
-            disk = Disk(kernel, model=device)
-        else:
-            disk = Disk(kernel, geometry=geometry)
+        disk = Disk(kernel, model=device)
         driver_profiler = Profiler(name="driver", layer=Layer.DRIVER,
                                    clock=lambda: kernel.engine.now,
                                    spec=spec)
-        driver = ScsiDriver(kernel, disk, profiler=driver_profiler,
-                            pipeline=pipeline)
+        driver = ScsiDriver(kernel, disk, wire_probe(
+            pipeline, Layer.DRIVER, profiler=driver_profiler,
+            name="driver"))
         inodes = InodeTable(kernel)
         allocator = BlockAllocator(disk.geometry,
                                    rng.fork("alloc"))
@@ -173,9 +175,9 @@ class System:
             sampled = SampledProfiler(clock=lambda: kernel.engine.now,
                                       interval=sample_interval,
                                       name="fs-sampled", spec=spec)
-        fsprof = FsInstrument(kernel, profiler=fs_profiler,
-                              sampled=sampled, variant=instrumentation,
-                              pipeline=pipeline)
+        fsprof = FsInstrument(kernel, wire_probe(
+            pipeline, Layer.FILESYSTEM, profiler=fs_profiler,
+            sampled=sampled, name="fs"), variant=instrumentation)
         pagecache = PageCache(kernel, capacity_pages=pagecache_pages)
         pagecache.attach_disk(disk)
         vfs = Vfs(kernel, fs, pagecache=pagecache, fsprof=fsprof)
@@ -183,9 +185,9 @@ class System:
         user_profiler = Profiler(name="user", layer=Layer.USER,
                                  clock=lambda: kernel.engine.now,
                                  spec=spec)
-        syscalls = SyscallLayer(kernel, profiler=user_profiler,
-                                instrumentation=instrumentation,
-                                pipeline=pipeline)
+        syscalls = SyscallLayer(kernel, wire_probe(
+            pipeline, Layer.USER, profiler=user_profiler, name="syscall"),
+            instrumentation=instrumentation)
         timer = None
         if with_timer:
             timer = TimerInterrupt(kernel)
@@ -196,8 +198,9 @@ class System:
                                              interval=state_sample_interval)
             state_sampler.start()
         return cls(kernel, disk, driver, inodes, allocator, fs, vfs,
-                   syscalls, user_profiler, fs_profiler, timer, sampled,
-                   pipeline=pipeline, state_sampler=state_sampler)
+                   syscalls, user_profiler, fs_profiler, driver_profiler,
+                   timer, pipeline, sampled=sampled,
+                   state_sampler=state_sampler)
 
     # -- file tree helpers ---------------------------------------------------------
 

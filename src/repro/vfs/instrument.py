@@ -4,8 +4,9 @@ FoSgen "discovers implementations of all file system operations and
 inserts FSPROF_PRE(op) and FSPROF_POST(op) macros at their entry and
 return points" (Section 4).  :class:`FsInstrument` is the runtime those
 macros call into: a TSC read at entry, a TSC read plus bucket update at
-return, with the same per-hook CPU costs as the syscall layer so the
-Section 5.2 overhead decomposition applies at this layer too.
+return, with the same per-hook CPU costs as the syscall layer
+(:func:`~repro.sim.syscalls.hook_cost`) so the Section 5.2 overhead
+decomposition applies at this layer too.
 
 Nested instrumented operations (``readdir`` calling ``readpage``)
 compose naturally — each wrapped generator measures its own interval,
@@ -15,15 +16,10 @@ single function call."
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-from ..core.pipeline import (EventSink, Pipeline, ProbePoint, wire_probe)
-from ..core.profile import Layer
-from ..core.profiler import Profiler
-from ..core.sampling import SampledProfiler
+from ..core.pipeline import ProbePoint
 from ..sim.process import CpuBurst, ProcBody, Process
 from ..sim.scheduler import Kernel
-from ..sim.syscalls import PROFILER_HOOK_COST
+from ..sim.syscalls import hook_cost
 
 __all__ = ["FsInstrument"]
 
@@ -31,59 +27,26 @@ __all__ = ["FsInstrument"]
 class FsInstrument:
     """Wraps FS operation generators with latency capture.
 
-    ``variant`` mirrors :class:`~repro.sim.syscalls.SyscallLayer`:
-    ``off`` (no hooks), ``empty`` (hook call cost only), ``tsc_only``
-    (hooks + TSC reads, nothing stored), ``full`` (the real profiler).
-
-    Events emit through a :class:`~repro.core.pipeline.ProbePoint`;
-    pass ``probe`` (or ``pipeline`` plus profiler/sampled targets) to
-    share one machine-wide pipeline, or ``sinks`` for custom routing.
-    With no targets at all the probe is wired to a
-    :class:`~repro.core.pipeline.NullSink` and the record path is
-    deactivated entirely.
+    ``probe`` is the file-system-level probe (wired by
+    :meth:`repro.system.System.build`; an inactive probe for an
+    uninstrumented mount).  ``variant`` is the Section 5.2 rung, as for
+    :class:`~repro.sim.syscalls.SyscallLayer`: ``off`` (no hooks),
+    ``empty`` (hook call cost only), ``tsc_only`` (hooks + TSC reads,
+    nothing stored), ``full`` (the real profiler).
     """
 
-    VARIANTS = ("off", "empty", "tsc_only", "full")
-
-    def __init__(self, kernel: Kernel,
-                 profiler: Optional[Profiler] = None,
-                 sampled: Optional[SampledProfiler] = None,
-                 variant: str = "full",
-                 pipeline: Optional[Pipeline] = None,
-                 probe: Optional[ProbePoint] = None,
-                 sinks: Sequence[EventSink] = ()):
-        if variant not in self.VARIANTS:
-            raise ValueError(f"variant must be one of {self.VARIANTS}")
+    def __init__(self, kernel: Kernel, probe: ProbePoint,
+                 variant: str = "full"):
+        hook_cost(variant)  # reject unknown variants up front
         self.kernel = kernel
-        self.profiler = profiler
-        self.sampled = sampled
+        self.probe_point = probe
         self.variant = variant
         self.operations_profiled = 0
-        if probe is None:
-            owner = pipeline if pipeline is not None \
-                else Pipeline(num_cpus=len(kernel.cpus))
-            layer_label = profiler.layer if profiler is not None \
-                else Layer.FILESYSTEM
-            probe = wire_probe(owner, layer_label, profiler=profiler,
-                               sampled=sampled, extra_sinks=sinks,
-                               name="fs")
-        self.probe_point = probe
-        self.pipeline = probe.pipeline
-
-    def _hook_cost(self) -> float:
-        if self.variant == "off":
-            return 0.0
-        cost = PROFILER_HOOK_COST["call"]
-        if self.variant in ("tsc_only", "full"):
-            cost += PROFILER_HOOK_COST["tsc_read"]
-        if self.variant == "full":
-            cost += PROFILER_HOOK_COST["store"] / 2.0
-        return cost
 
     def invoke(self, proc: Process, operation: str,
                body: ProcBody) -> ProcBody:
         """FSPROF_PRE(op); body; FSPROF_POST(op)."""
-        hook = self._hook_cost()
+        hook = hook_cost(self.variant)
         probe = self.probe_point
         context = probe.push_context(proc, operation) if probe.active \
             else None

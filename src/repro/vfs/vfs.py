@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..core.pipeline import NullSink
+from ..core.pipeline import Pipeline
+from ..core.profile import Layer
 from ..sim.process import CpuBurst, ProcBody, Process
 from ..sim.scheduler import Kernel
 from .file import File
@@ -89,10 +90,11 @@ class Vfs:
         self.fs = fs
         self.pagecache = pagecache if pagecache is not None \
             else PageCache(kernel)
-        # Uninstrumented mounts route through a NullSink-backed probe:
-        # same code path as profiled mounts, measured-zero overhead.
+        # Uninstrumented mounts route through an inactive (sink-less)
+        # probe: same code path as profiled mounts, measured-zero overhead.
         self.fsprof = fsprof if fsprof is not None \
-            else FsInstrument(kernel, variant="off", sinks=(NullSink(),))
+            else FsInstrument(kernel, Pipeline().probe(Layer.FILESYSTEM),
+                              variant="off")
         fs.bind(self)
 
     # -- plumbing --------------------------------------------------------------

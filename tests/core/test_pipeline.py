@@ -12,15 +12,15 @@ from repro.core.correlation import PeakRange, ValueCorrelator
 from repro.core.pipeline import (CorrelationSink, FanoutSink, NullSink,
                                  Pipeline, ProbePoint, ProfileSink,
                                  RequestContext, SamplingSink, StreamSink,
-                                 TokenFinishedError, TraceSink, wire_probe)
+                                 TraceSink, wire_probe)
 from repro.core.profile import Layer
-from repro.core.profiler import Profiler
+from repro.core.profiler import Profiler, TokenFinishedError
 from repro.core.profileset import ProfileSet
 from repro.core.sampling import SampledProfiler
 
 
 class ManualClock:
-    """A settable clock for exercising entry/exit timing."""
+    """A settable clock for exercising Profiler begin/end timing."""
 
     def __init__(self, now=0.0):
         self.now = now
@@ -61,41 +61,31 @@ class TestRequestContext:
 
 
 class TestProbePoint:
-    def test_enter_exit_records_latency(self):
-        clock = ManualClock()
+    # Cross-CPU TSC skew (§3.4) can make the exit read earlier than the
+    # entry; a negative latency must land in bucket 0, not corrupt the
+    # histogram — on both record paths.
+
+    def test_negative_latency_clamps_to_bucket_zero_fast_path(self):
         pipeline = Pipeline()
         pset = ProfileSet(name="t")
-        probe = pipeline.probe(Layer.USER, ProfileSink(pset), clock=clock)
-        token = probe.enter("read")
-        clock.now = 100.0
-        latency = probe.exit(token)
-        assert latency == 100.0
-        pipeline.flush()
-        assert pset.profile("read", Layer.USER).total_ops == 1
-        assert pset.profile("read", Layer.USER).total_latency == 100.0
-
-    def test_exit_twice_raises_token_finished(self):
-        pipeline = Pipeline()
-        probe = pipeline.probe(Layer.USER, ProfileSink(ProfileSet()),
-                               clock=ManualClock())
-        token = probe.enter("read")
-        probe.exit(token)
-        with pytest.raises(TokenFinishedError):
-            probe.exit(token)
-
-    def test_clock_rollback_clamps_to_bucket_zero(self):
-        # Cross-CPU TSC skew can make exit read an earlier timestamp
-        # than entry; the sample must land in bucket 0, not corrupt the
-        # histogram with a negative latency.
-        clock = ManualClock(now=1000.0)
-        pipeline = Pipeline()
-        pset = ProfileSet(name="t")
-        probe = pipeline.probe(Layer.USER, ProfileSink(pset), clock=clock)
-        token = probe.enter("read")
-        clock.now = 400.0
-        assert probe.exit(token) == 0.0
+        probe = pipeline.probe(Layer.USER, ProfileSink(pset))
+        assert probe._fast is not None  # the single-ProfileSink path
+        probe.record("read", -600.0)
         pipeline.flush()
         assert pset.profile("read", Layer.USER).counts() == {0: 1}
+        assert pset.profile("read", Layer.USER).total_latency == 0.0
+
+    def test_negative_latency_clamps_to_bucket_zero_generic_path(self):
+        pipeline = Pipeline()
+        pset = ProfileSet(name="t")
+        trace = TraceSink()
+        probe = pipeline.probe(Layer.USER, ProfileSink(pset), trace)
+        assert probe._fast is None  # a second sink forces event tuples
+        probe.record("read", -600.0)
+        pipeline.flush()
+        assert pset.profile("read", Layer.USER).counts() == {0: 1}
+        assert pset.profile("read", Layer.USER).total_latency == 0.0
+        assert [e.latency for e in trace.events] == [0.0]
 
     def test_nullsink_only_probe_is_inactive(self):
         pipeline = Pipeline()

@@ -88,18 +88,6 @@ class TestFileInterface:
         procfs.write(path, "reset\n")
         assert procfs.snapshot(path).total_ops() == 0
 
-    def test_write_enable_disable(self, procfs, clock):
-        profiler = make_profiler(clock)
-        path = procfs.register("fs", profiler)
-        procfs.write(path, "disable")
-        with profiler.request("read"):
-            clock.now += 1
-        assert procfs.snapshot(path)["read"].total_ops == 3
-        procfs.write(path, "enable")
-        with profiler.request("read"):
-            clock.now += 1
-        assert procfs.snapshot(path)["read"].total_ops == 4
-
     def test_unknown_command_rejected(self, procfs, clock):
         path = procfs.register("fs", make_profiler(clock))
         with pytest.raises(ValueError):

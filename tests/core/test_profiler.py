@@ -61,13 +61,6 @@ class TestBeginEnd:
         assert latency == 0.0
         assert profiler.profiles["read"].count(0) == 1
 
-    def test_disabled_profiler_records_nothing(self, clock):
-        prof = Profiler(clock=clock, enabled=False)
-        token = prof.begin("read")
-        clock.advance(10)
-        assert prof.end(token) is None
-        assert len(prof.profiles) == 0
-
 
 class TestContextManagerAndDecorator:
     def test_request_context_manager(self, profiler, clock):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.disk.device import Disk
 from repro.disk.geometry import DiskGeometry
+from repro.disk.model import SpindleModel
 from repro.sim.scheduler import Kernel
 
 
@@ -74,7 +75,7 @@ class TestServiceTiming:
         assert not w.cache_hit
 
     def test_seek_distance_raises_latency(self):
-        k, disk = make_disk(cache_segments=0)
+        k, disk = make_disk(model=SpindleModel(cache_segments=0))
         near = disk.submit(0)
         k.run(max_events=50)
         # Averages over rotational randomness.
@@ -102,7 +103,7 @@ class TestServiceTiming:
 
 class TestElevator:
     def test_elevator_picks_nearest_track(self):
-        k, disk = make_disk(elevator=True)
+        k, disk = make_disk(model=SpindleModel(elevator=True))
         # Busy with block 0; queue far and near.
         disk.submit(0)
         far = disk.submit(disk.geometry.num_blocks - 1)
@@ -111,7 +112,7 @@ class TestElevator:
         assert near.completed_at < far.completed_at
 
     def test_fifo_order_without_elevator(self):
-        k, disk = make_disk(elevator=False)
+        k, disk = make_disk(model=SpindleModel(elevator=False))
         disk.submit(0)
         far = disk.submit(disk.geometry.num_blocks - 1)
         near = disk.submit(5)

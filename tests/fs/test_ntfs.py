@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.core.pipeline import wire_probe
+from repro.core.profile import Layer
+from repro.core.profiler import Profiler
 from repro.fs.filterdrv import FilterDriver
 from repro.fs.ntfs import Ntfs
 from repro.system import System
@@ -12,6 +15,15 @@ from repro.workloads import RandomReadConfig, run_random_read
 @pytest.fixture
 def system():
     return System.build(fs_type="ntfs", with_timer=False)
+
+
+def stack_filter(system):
+    """A FilterDriver on *system*'s fs, probed on the machine pipeline."""
+    profiler = Profiler(name="filter", layer=Layer.FILESYSTEM,
+                        clock=lambda: system.kernel.now)
+    probe = wire_probe(system.pipeline, Layer.FILESYSTEM,
+                       profiler=profiler, name="filter")
+    return FilterDriver(system.kernel, system.fs, probe), profiler
 
 
 def run_body(system, fn):
@@ -92,7 +104,7 @@ class TestFastIoDispatch:
 
 class TestFilterDriver:
     def test_intercepts_and_classifies(self, system):
-        filt = FilterDriver(system.kernel, system.fs)
+        filt, profiler = stack_filter(system)
         inode = system.tree.mkfile(system.root, "f", 8192)
         f = system.vfs.open_inode(inode)
 
@@ -105,7 +117,7 @@ class TestFilterDriver:
                                     system.vfs.open_inode(system.root))
 
         run_body(system, body)
-        pset = filt.profile_set()
+        pset = profiler.profile_set()
         assert pset["IRP_MJ_READ"].total_ops == 1
         assert pset["FASTIO_MJ_READ"].total_ops == 1
         assert pset["FASTIO_MJ_SET_INFORMATION"].total_ops == 1
@@ -113,7 +125,7 @@ class TestFilterDriver:
         assert 0 < filt.fastio_share() < 1
 
     def test_fastio_profile_far_left_of_irp(self, system):
-        filt = FilterDriver(system.kernel, system.fs)
+        filt, profiler = stack_filter(system)
         inode = system.tree.mkfile(system.root, "f", 4096 * 8)
         f = system.vfs.open_inode(inode)
 
@@ -131,14 +143,14 @@ class TestFilterDriver:
                         break
 
         run_body(system, body)
-        pset = filt.profile_set()
+        pset = profiler.profile_set()
         irp = pset["IRP_MJ_READ"]
         fastio = pset["FASTIO_MJ_READ"]
         assert fastio.mean_latency() < irp.mean_latency() / 10
 
     def test_works_on_non_ntfs(self):
         system = System.build(fs_type="ext2", with_timer=False)
-        filt = FilterDriver(system.kernel, system.fs)
+        filt, profiler = stack_filter(system)
         inode = system.tree.mkfile(system.root, "f", 4096)
         f = system.vfs.open_inode(inode)
 

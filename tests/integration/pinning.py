@@ -155,3 +155,38 @@ STATE_CAPTURES = {
 def state_digest(sprof) -> str:
     """sha256 of the canonical StateProfile encoding."""
     return hashlib.sha256(sprof.to_bytes()).hexdigest()
+
+
+# -- Section 5.2 instrumentation-variant pins -----------------------------
+#
+# The profile pins above all run ``instrumentation="full"``.  The other
+# three rungs of the overhead ladder differ only in the CPU each hook
+# burns, which shows up in the driver-layer profile (the driver always
+# records) and in the simulated clock at the end of the run.  Pinning
+# both freezes the hook-cost rule for every variant.
+
+#: (workload, kwargs for run_named_workload)
+_VARIANT_RUNS = (
+    ("randomread", dict(iterations=300, processes=2)),
+    ("postmark", dict(iterations=400)),
+)
+
+#: The non-default variants; "full" is covered by the profile pins.
+PINNED_VARIANTS = ("off", "empty", "tsc_only")
+
+
+def _capture_variant(workload: str, kwargs, variant: str):
+    system = System.build(fs_type="ext2", num_cpus=1, seed=2006,
+                          with_timer=False, instrumentation=variant)
+    run_named_workload(system, workload, seed=2006, **kwargs)
+    return {"driver": digest(system.driver_profiles()),
+            "now": repr(system.kernel.now)}
+
+
+#: Pin name -> zero-argument callable returning {"driver", "now"}.
+VARIANT_CAPTURES = {
+    f"{workload}-{variant}": (
+        lambda w=workload, k=kwargs, v=variant: _capture_variant(w, k, v))
+    for workload, kwargs in _VARIANT_RUNS
+    for variant in PINNED_VARIANTS
+}

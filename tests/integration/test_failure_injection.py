@@ -7,6 +7,7 @@ to expose: transparent retries that only show up as latency.
 import pytest
 
 from repro.disk.device import Disk
+from repro.disk.model import SpindleModel
 from repro.net.tcp import TcpConnection, TcpEndpoint
 from repro.sim.engine import seconds
 from repro.sim.scheduler import Kernel
@@ -18,7 +19,8 @@ class TestDiskErrors:
     def make_disk(self, error_rate, max_retries=3):
         k = Kernel(num_cpus=1, tsc_skew_seconds=0.0)
         return k, Disk(k, error_rate=error_rate,
-                       max_retries=max_retries, cache_segments=0)
+                       max_retries=max_retries,
+                       model=SpindleModel(cache_segments=0))
 
     def test_errors_retried_transparently(self):
         k, disk = self.make_disk(error_rate=0.3)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.buckets import BucketSpec
+from repro.core.profile import Layer
 from repro.fs.ext2 import Ext2
 from repro.fs.reiserfs import Reiserfs
 from repro.sim.engine import seconds
@@ -89,7 +90,18 @@ class TestFacadeHelpers:
     def test_profile_accessors_distinct(self):
         s = System.build(with_timer=False)
         assert s.user_profiles() is not s.fs_profiles()
-        assert s.driver_profiles() is s.driver.profiler.profile_set()
+        assert s.driver_profiles() is s.driver_profiler.profile_set()
+        # The driver's probe feeds the profiler System.build made.
+        assert s.driver.probe_point.sinks[0].profiles \
+            is s.driver_profiles()
+
+    def test_one_probe_per_layer_on_the_machine_pipeline(self):
+        s = System.build(with_timer=False)
+        assert s.pipeline.probes() == [s.driver.probe_point,
+                                       s.vfs.fsprof.probe_point,
+                                       s.syscalls.probe_point]
+        assert [p.layer for p in s.pipeline.probes()] == [
+            Layer.DRIVER, Layer.FILESYSTEM, Layer.USER]
 
     def test_shutdown_passthrough(self):
         s = System.build(with_timer=False)
@@ -134,3 +146,12 @@ class TestProcFsIntegration:
         phase(50)
         snap2 = s.procfs.snapshot("/proc/osprof/user")
         assert snap2["read"].total_ops == 50
+
+    def test_disable_is_an_unknown_command(self):
+        # Only "reset" is a command: the layers record through their
+        # probes, so a per-profiler on/off switch could never take
+        # effect and is not offered.
+        s = System.build(with_timer=False)
+        for layer in ("user", "fs", "driver"):
+            with pytest.raises(ValueError, match="unknown command"):
+                s.procfs.write(f"/proc/osprof/{layer}", "disable")

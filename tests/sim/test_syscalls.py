@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro.core.pipeline import Pipeline, wire_probe
+from repro.core.profile import Layer
 from repro.core.profiler import Profiler
 from repro.sim.process import CpuBurst
 from repro.sim.scheduler import Kernel
-from repro.sim.syscalls import PROFILER_HOOK_COST, SyscallLayer
+from repro.sim.syscalls import (PROFILER_HOOK_COST, VARIANTS, SyscallLayer,
+                                hook_cost)
 
 
 def make_kernel():
@@ -13,8 +16,11 @@ def make_kernel():
 
 
 def make_layer(kernel, **kwargs):
-    profiler = Profiler(name="user", clock=lambda: kernel.engine.now)
-    return SyscallLayer(kernel, profiler=profiler, **kwargs), profiler
+    profiler = Profiler(name="user", layer=Layer.USER,
+                        clock=lambda: kernel.engine.now)
+    probe = wire_probe(Pipeline(num_cpus=len(kernel.cpus)), Layer.USER,
+                       profiler=profiler, name="syscall")
+    return SyscallLayer(kernel, probe, **kwargs), profiler
 
 
 class TestInvoke:
@@ -116,7 +122,7 @@ class TestInstrumentationVariants:
     def test_variant_costs_ordered(self):
         # off < empty < tsc_only < full in total CPU time (§5.2).
         times = {}
-        for variant in SyscallLayer.VARIANTS:
+        for variant in VARIANTS:
             p, _ = self.run_variant(variant)
             times[variant] = p.sys_time
         assert times["off"] < times["empty"] < times["tsc_only"] \
@@ -132,9 +138,23 @@ class TestInstrumentationVariants:
     def test_unknown_variant_rejected(self):
         k = make_kernel()
         with pytest.raises(ValueError):
-            SyscallLayer(k, instrumentation="bogus")
+            SyscallLayer(k, Pipeline().probe(Layer.USER),
+                         instrumentation="bogus")
 
     def test_hook_cost_components_positive(self):
         assert PROFILER_HOOK_COST["call"] > 0
         assert PROFILER_HOOK_COST["tsc_read"] > 0
         assert PROFILER_HOOK_COST["store"] > 0
+
+    def test_hook_cost_ladder(self):
+        # One rule for every layer: each rung adds one cost component,
+        # and the sort/store cost is split across the PRE/POST pair.
+        call = PROFILER_HOOK_COST["call"]
+        tsc = PROFILER_HOOK_COST["tsc_read"]
+        store = PROFILER_HOOK_COST["store"]
+        assert [hook_cost(v) for v in VARIANTS] == [
+            0.0, call, call + tsc, call + tsc + store / 2.0]
+
+    def test_hook_cost_rejects_unknown_variant(self):
+        with pytest.raises(ValueError, match="bogus"):
+            hook_cost("bogus")

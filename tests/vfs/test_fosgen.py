@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core.pipeline import Pipeline, wire_probe
+from repro.core.profile import Layer
 from repro.core.profiler import Profiler
 from repro.sim.process import CpuBurst
 from repro.sim.scheduler import Kernel
@@ -42,7 +44,9 @@ def kernel():
 def setup(kernel):
     fs = TinyFs(kernel)
     profiler = Profiler(name="fosgen", clock=lambda: kernel.engine.now)
-    instrument = FsInstrument(kernel, profiler=profiler)
+    instrument = FsInstrument(kernel, wire_probe(
+        Pipeline(num_cpus=len(kernel.cpus)), Layer.FILESYSTEM,
+        profiler=profiler, name="fs"))
     vfs = Vfs(kernel, fs)  # uninstrumented dispatch
     return fs, instrument, profiler, vfs
 
@@ -115,7 +119,9 @@ class TestInstrumentation:
         fs_a = TinyFs(kernel)
         fs_b = TinyFs(kernel)
         profiler = Profiler(clock=lambda: kernel.engine.now)
-        instrument = FsInstrument(kernel, profiler=profiler)
+        instrument = FsInstrument(kernel, wire_probe(
+            Pipeline(num_cpus=len(kernel.cpus)), Layer.FILESYSTEM,
+            profiler=profiler, name="fs"))
         instrument_filesystem(fs_a, instrument)
         table = InodeTable(kernel)
         f = File(table.allocate(S_IFREG))

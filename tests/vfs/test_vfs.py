@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.core.pipeline import Pipeline, wire_probe
+from repro.core.profile import Layer
 from repro.core.profiler import Profiler
 from repro.sim.process import CpuBurst
 from repro.sim.scheduler import Kernel
+from repro.sim.syscalls import VARIANTS
 from repro.vfs.file import File, O_DIRECT
 from repro.vfs.inode import InodeTable, S_IFREG
 from repro.vfs.instrument import FsInstrument
@@ -68,7 +71,9 @@ class TestFile:
 class TestVfsDispatch:
     def make_vfs(self, kernel, variant="full"):
         profiler = Profiler(name="fs", clock=lambda: kernel.engine.now)
-        fsprof = FsInstrument(kernel, profiler=profiler, variant=variant)
+        probe = wire_probe(Pipeline(num_cpus=len(kernel.cpus)),
+                           Layer.FILESYSTEM, profiler=profiler, name="fs")
+        fsprof = FsInstrument(kernel, probe, variant=variant)
         fs = EchoFs(kernel)
         vfs = Vfs(kernel, fs, fsprof=fsprof)
         return vfs, fs, profiler
@@ -137,7 +142,7 @@ class TestVfsDispatch:
 
     def test_instrumentation_overhead_ordering(self, kernel):
         times = {}
-        for variant in FsInstrument.VARIANTS:
+        for variant in VARIANTS:
             k = Kernel(num_cpus=1, tsc_skew_seconds=0.0)
             vfs, _, _ = self.make_vfs(k)
             vfs.fsprof.variant = variant
@@ -158,6 +163,8 @@ class TestVfsDispatch:
         fs = EchoFs(kernel)
         vfs = Vfs(kernel, fs)
         assert vfs.fsprof.variant == "off"
+        assert not vfs.fsprof.probe_point.active
+        assert vfs.fsprof.probe_point.sinks == ()
 
     def test_fs_bound_to_vfs(self, kernel):
         fs = EchoFs(kernel)
