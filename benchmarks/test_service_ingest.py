@@ -8,6 +8,7 @@ differential scoring of a closed segment, and the event-loop transport
 under a concurrent pusher fleet (throughput and p99 push latency).
 """
 
+import itertools
 import threading
 import time
 
@@ -49,9 +50,11 @@ def test_perf_push_round_trip(benchmark):
     server.serve_in_thread()
     host, port = server.address
     pset = realistic_segment()
+    seqs = itertools.count(1)
     try:
         with ServiceClient(host, port) as client:
-            status = benchmark(client.push, pset)
+            status = benchmark(lambda: client.push_sequenced(
+                "bench", next(seqs), pset.to_bytes()))
         assert "ops" in status
     finally:
         server.server_close()
@@ -67,9 +70,9 @@ def _drive_pushers(address, pushers, pushes_each, payload):
         with ServiceClient(host, port) as client:
             barrier.wait()
             mine = latencies[slot]
-            for _ in range(pushes_each):
+            for seq in range(1, pushes_each + 1):
                 t0 = time.perf_counter()
-                client.push_payload(payload)
+                client.push_sequenced(f"pusher-{slot}", seq, payload)
                 mine.append(time.perf_counter() - t0)
 
     threads = [threading.Thread(target=pusher, args=(i,))

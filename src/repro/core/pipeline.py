@@ -261,8 +261,9 @@ class StreamSink(EventSink):
     Instead of one OSPS push per sample or per segment boundary decided
     elsewhere, the sink accumulates a pending set and pushes whenever it
     holds ``batch_ops`` samples; the final :meth:`flush` pushes the
-    remainder.  ``push`` is a :class:`~repro.service.client.ServiceClient`
-    (anything with a ``push(pset)`` method) or a bare callable.
+    remainder.  ``push`` is a
+    :class:`~repro.service.client.ResilientServiceClient` (anything with
+    a ``push(pset)`` method) or a bare callable.
     """
 
     def __init__(self, push, batch_ops: int = 2048,

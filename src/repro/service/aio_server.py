@@ -11,7 +11,9 @@ is answered by one :class:`Route` looked up by frame type in the
 server's :attr:`~AsyncProfileServer.routes` table.  The root serves
 :data:`ROUTES`; a relay serves its own, smaller table through the same
 dispatch, and any frame type a table lacks is answered
-``unsupported frame type <NAME>``.
+``unsupported frame type <NAME>``.  A latency push enters either table
+only as the sequenced ``PUSH_SEQ``, so it always passes a per-client
+dedup ledger; the retired unsequenced ``PUSH`` is in neither.
 
 What every service gets from the transport, once:
 
@@ -67,10 +69,6 @@ def _no_body(payload: bytes) -> tuple:
     return ()
 
 
-def _whole_body(payload: bytes) -> tuple:
-    return (payload,)
-
-
 def _json_body(payload: bytes) -> tuple:
     """A JSON-object request body (empty means ``{}``).
 
@@ -103,12 +101,6 @@ def _bad_payload(exc: ValueError) -> Reply:
     # A payload damaged in transit is safe to resend under the same
     # sequence; the client retries ``bad-payload:`` replies only.
     return FrameType.ERROR, f"bad-payload: {exc}"
-
-
-def _push(server, payload: bytes) -> Reply:
-    pset = server.service.ingest_payload(payload)
-    return (FrameType.OK,
-            f"merged {pset.total_ops()} ops over {len(pset)} operations")
 
 
 def _push_seq(server, client_id: str, seq: int, profile: bytes) -> Reply:
@@ -156,11 +148,11 @@ def _state_snapshot(server) -> Reply:
     return FrameType.STATE_PROFILE, server.service.state_snapshot().to_bytes()
 
 
-#: The root service's request table; a frame type it lacks is answered
+#: The root service's request table; a frame type it lacks — including
+#: the retired unsequenced ``PUSH`` — is answered
 #: ``unsupported frame type <NAME>``.  A relay serves its own table
 #: (:data:`repro.service.relay.RELAY_ROUTES`) through the same dispatch.
 ROUTES: Dict[int, Route] = {
-    FrameType.PUSH: Route(_push, _whole_body, gated=True),
     FrameType.PUSH_SEQ: Route(_push_seq, decode_push_seq, gated=True),
     FrameType.METRICS: Route(_metrics),
     FrameType.SNAPSHOT: Route(_snapshot),

@@ -182,20 +182,9 @@ class ServiceClient:
 
     # -- requests ----------------------------------------------------------
 
-    def push(self, pset: ProfileSet) -> str:
-        """Stream one profile set to the server; returns its status line."""
-        reply = self._roundtrip(FrameType.PUSH, pset.to_bytes(),
-                                FrameType.OK)
-        return reply.decode("utf-8", "replace")
-
-    def push_payload(self, payload: bytes) -> str:
-        """Push an already-encoded binary profile (e.g. a saved .ospb)."""
-        reply = self._roundtrip(FrameType.PUSH, payload, FrameType.OK)
-        return reply.decode("utf-8", "replace")
-
     def push_sequenced(self, client_id: str, seq: int,
                        payload: bytes) -> str:
-        """Idempotent push: the server dedups on ``(client_id, seq)``.
+        """The latency push: the server dedups on ``(client_id, seq)``.
 
         Resending the same sequence after an ambiguous failure is safe —
         a replay of an already-merged push is acknowledged without
@@ -414,7 +403,7 @@ class ResilientServiceClient:
         if self.spool is None:
             assert self._seq is not None
             self._seq += 1
-            return self._send_sequenced(self._seq, payload)
+            return self.push_with_seq(self._seq, payload)
         seq = self.spool.append(payload)
         self.spooled += 1
         try:
@@ -433,24 +422,19 @@ class ResilientServiceClient:
         """
         if self.spool is None:
             return 0
-        return self.spool.drain(
-            lambda seq, payload: self._send_sequenced(seq, payload))
-
-    def _send_sequenced(self, seq: int, payload: bytes) -> str:
-        return self._attempt_all(
-            lambda client: client.push_sequenced(self.client_id, seq,
-                                                 payload))
+        return self.spool.drain(self.push_with_seq)
 
     def push_with_seq(self, seq: int, payload: bytes) -> str:
         """Push under an explicitly chosen sequence number.
 
-        The relay's forwarding path owns its own durable sequence
-        allocation (a crash must replay the *same* batch under the
-        *same* number), so it bypasses the internal counter/spool and
-        still gets the full healing loop: reconnect with backoff,
-        ``RETRY_AFTER`` honor, and typed exhaustion.  Do not mix with
-        :meth:`push` on one client — two sequence allocators sharing an
-        identity would corrupt the server's dedup ledger.
+        Every push of this client goes out here, with the full healing
+        loop: reconnect with backoff, ``RETRY_AFTER`` honor, and typed
+        exhaustion.  The relay's forwarding path calls it directly: it
+        owns its own durable sequence allocation (a crash must replay
+        the *same* batch under the *same* number), so it bypasses the
+        internal counter/spool.  Do not mix that with :meth:`push` on
+        one client — two sequence allocators sharing an identity would
+        corrupt the server's dedup ledger.
         """
         return self._attempt_all(
             lambda client: client.push_sequenced(self.client_id, seq,
@@ -461,8 +445,11 @@ class ResilientServiceClient:
         """Push one wait-state profile, healing transport failures.
 
         State pushes are not sequenced: an ambiguous failure retried
-        here may double-count samples server-side, which the sampled
-        view tolerates (counts are a view, not a ledger).
+        here may count the samples twice.  A server started with
+        ``--db`` also commits every state push as a durable
+        ``samples`` segment, so the duplicate is then counted by
+        ``query_states`` and SQL too, not only by the rolling view.
+        ``docs/SAMPLING.md`` tracks the fix (a sequenced state push).
         """
         return self._attempt_all(
             lambda client: client.push_state(sprof,

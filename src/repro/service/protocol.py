@@ -16,7 +16,7 @@ Frame layout::
     length  u32  payload byte count
     payload length bytes
 
-Conversations are strict request/response: a client sends ``PUSH``,
+Conversations are strict request/response: a client sends
 ``PUSH_SEQ``, ``STATE_PUSH``, ``METRICS``, ``SNAPSHOT``,
 ``STATE_SNAPSHOT``, ``ALERTS`` or ``SQL`` and reads exactly one frame
 back (``OK``/``TEXT``/``PROFILE``/``STATE_PROFILE``/``ALERT_LOG``/
@@ -24,10 +24,13 @@ back (``OK``/``TEXT``/``PROFILE``/``STATE_PROFILE``/``ALERT_LOG``/
 carrying a UTF-8 message, or ``RETRY_AFTER`` asking the client to back
 off).  Multiple requests may reuse one connection.
 
-``PUSH_SEQ`` is the idempotent push: its payload prefixes the profile
+``PUSH_SEQ`` is the one latency push: its payload prefixes the profile
 bytes with a client identity and a monotonic sequence number
 (:func:`encode_push_seq`), so a client that lost the reply can resend
 the same sequence and the server deduplicates instead of double-merging.
+Code ``0x01`` (``PUSH``, the retired unsequenced push) stays reserved
+under its name: no service serves it, so it is answered
+``unsupported frame type PUSH`` and the code is never reused.
 
 A frame whose declared length exceeds the receiver's limit raises
 :class:`FrameTooLarge` from the 9-byte header alone — the oversized
@@ -73,7 +76,7 @@ _HEADER = struct.Struct("<4sBI")
 class FrameType:
     """Wire frame types (u8).  Requests are client→server, the rest replies."""
 
-    PUSH = 0x01       #: request: payload is ``ProfileSet.to_bytes()``
+    PUSH = 0x01       #: reserved: the retired unsequenced push
     OK = 0x02         #: reply: UTF-8 status text (may be empty)
     ERROR = 0x03      #: reply: UTF-8 error message
     METRICS = 0x04    #: request: empty payload

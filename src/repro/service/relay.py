@@ -16,8 +16,8 @@ batched them.
 
 A relay is served by the root's own transport: :class:`RelayServer` is
 an :class:`~repro.service.aio_server.AsyncProfileServer` answering from
-:data:`RELAY_ROUTES` — its own ``PUSH``/``PUSH_SEQ`` routes beside the
-root's ``METRICS``/``SNAPSHOT``/``ALERTS`` — plus the forwarder thread.
+:data:`RELAY_ROUTES` — its own ``PUSH_SEQ`` route beside the root's
+``METRICS``/``SNAPSHOT``/``ALERTS`` — plus the forwarder thread.
 
 Crash safety is spool-first, everywhere:
 
@@ -52,7 +52,7 @@ from ..core import durable
 from ..core.faults import FaultPlan
 from ..core.profileset import ProfileSet
 from .aio_server import (ROUTES, AsyncProfileServer, Reply, Route,
-                         _bad_payload, _whole_body)
+                         _bad_payload)
 from .client import Backoff, ResilientServiceClient
 from .protocol import FrameType, decode_push_seq, encode_push_seq
 from .server import GuardedService, ServiceConfig
@@ -62,9 +62,6 @@ from .store import PushLedger
 __all__ = ["RelayState", "RelayService", "RelayServer"]
 
 _STATE_FILE = "relay-state.json"
-#: Client id recorded for plain (unsequenced) ``PUSH`` entries; they
-#: carry no idempotence contract, so they never enter the ledger.
-_ANON = "-"
 
 
 class RelayState:
@@ -144,7 +141,7 @@ class RelayService(GuardedService):
             raise ValueError("relay batch must be >= 1")
         super().__init__(config)
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        durable.ensure_dir(self.root)
         self.upstream = upstream
         self.batch = batch
         self.spool = Spool(self.root / "spool")
@@ -200,8 +197,7 @@ class RelayService(GuardedService):
                     self.spool.payload(seq))
             except ValueError:
                 continue
-            if client_id != _ANON:
-                self.ledger.record(client_id, client_seq)
+            self.ledger.record(client_id, client_seq)
 
     # -- the accept path (called by the transport) --------------------------
 
@@ -217,47 +213,26 @@ class RelayService(GuardedService):
         rebuilt from the spool on restart, so the ack's loss cannot
         double-merge either.
         """
-        pset = self._decode(payload)
+        try:
+            pset = ProfileSet.from_bytes(payload)
+        except ValueError:
+            with self._lock:
+                self.rejected += 1
+            raise
         with self._lock:
             if not self.ledger.is_new(client_id, seq):
                 self.duplicates += 1
                 return (f"duplicate of push seq {seq}; already relayed",
                         False)
-            self._spool(client_id, seq, payload, pset)
+            self.spool.append(encode_push_seq(client_id, seq, payload))
+            self.accepted += 1
+            self.accepted_bytes += len(payload)
+            self.accepted_ops += pset.total_ops()
             self.ledger.record(client_id, seq)
-        self._wake_if_batch_full()
-        return (f"relayed {pset.total_ops()} ops over {len(pset)} "
-                f"operations (seq {seq})", True)
-
-    def accept_payload(self, payload: bytes) -> ProfileSet:
-        """Accept one plain (unsequenced) push; no dedup contract."""
-        pset = self._decode(payload)
-        with self._lock:
-            # Anonymous entries carry no idempotence contract; the
-            # constant seq is a placeholder that never touches a ledger.
-            self._spool(_ANON, 1, payload, pset)
-        self._wake_if_batch_full()
-        return pset
-
-    def _decode(self, payload: bytes) -> ProfileSet:
-        try:
-            return ProfileSet.from_bytes(payload)
-        except ValueError:
-            with self._lock:
-                self.rejected += 1
-            raise
-
-    def _spool(self, client_id: str, seq: int, payload: bytes,
-               pset: ProfileSet) -> None:
-        # Lock held.
-        self.spool.append(encode_push_seq(client_id, seq, payload))
-        self.accepted += 1
-        self.accepted_bytes += len(payload)
-        self.accepted_ops += pset.total_ops()
-
-    def _wake_if_batch_full(self) -> None:
         if len(self.pending_entries()) >= self.batch:
             self.forward_wake.set()
+        return (f"relayed {pset.total_ops()} ops over {len(pset)} "
+                f"operations (seq {seq})", True)
 
     # -- forwarding ----------------------------------------------------------
 
@@ -276,27 +251,29 @@ class RelayService(GuardedService):
                 fault_plan=self._plan)
         return self._upstream_client
 
-    def _load_entry(self, seq: int) -> Optional[Tuple[str, int, ProfileSet]]:
-        """Decode one spooled entry, quarantining at-rest damage.
+    def _load_batch(self, entries: List[int]
+                    ) -> List[Tuple[int, str, int, ProfileSet]]:
+        """Decode spooled *entries*, quarantining at-rest damage.
 
-        A spool file that no longer decodes (bit rot, torn write that
-        survived a crash) must not wedge the forwarder in a permanent
-        retry loop: it is moved aside as ``.corrupt`` (kept for
-        forensics, counted by ``osprof_spool_corrupt_total``) and the
-        batch proceeds without it — delayed or quarantined, never
-        silently wrong.
+        Returns ``(spool seq, client id, client seq, profile)`` for each
+        entry that decodes.  A spool file that no longer does (bit rot,
+        torn write that survived a crash) must not wedge the forwarder
+        in a permanent retry loop: it is moved aside as ``.corrupt``
+        (kept for forensics, counted by ``osprof_spool_corrupt_total``)
+        and the batch proceeds without it — delayed or quarantined,
+        never silently wrong.  Entries an older relay spooled for plain
+        unsequenced pushes decode as client ``-``, seq 1.
         """
-        try:
-            client_id, client_seq, profile = decode_push_seq(
-                self.spool.payload(seq))
-            return client_id, client_seq, ProfileSet.from_bytes(profile)
-        except (OSError, ValueError):
-            self.spool.quarantine(seq)
-            return None
-
-    def _merge_batch(self, entries: List[int]) -> ProfileSet:
-        loaded = filter(None, (self._load_entry(seq) for seq in entries))
-        return ProfileSet.merged([pset for _, _, pset in loaded])
+        loaded = []
+        for seq in entries:
+            try:
+                client_id, client_seq, profile = decode_push_seq(
+                    self.spool.payload(seq))
+                loaded.append((seq, client_id, client_seq,
+                               ProfileSet.from_bytes(profile)))
+            except (OSError, ValueError):
+                self.spool.quarantine(seq)
+        return loaded
 
     def forward(self) -> int:
         """Push every complete-able batch upstream; returns entries sent.
@@ -331,12 +308,10 @@ class RelayService(GuardedService):
                 # Decode once: a damaged entry is quarantined here and
                 # drops out of the batch (and of the ledger fold below),
                 # so at-rest corruption delays one entry, not the tree.
-                loaded = [(seq, entry) for seq in entries
-                          for entry in [self._load_entry(seq)]
-                          if entry is not None]
+                loaded = self._load_batch(entries)
                 if loaded:
                     merged = ProfileSet.merged(
-                        [pset for _, (_, _, pset) in loaded])
+                        [pset for *_, pset in loaded])
                     try:
                         self._client().push_with_seq(up_seq,
                                                      merged.to_bytes())
@@ -348,15 +323,14 @@ class RelayService(GuardedService):
                 # Commit: fold the batch's downstream marks into the
                 # durable ledger (their spool entries are about to go),
                 # advance the watermark, clear the marker — atomically.
-                for _, (client_id, client_seq, _) in loaded:
-                    if client_id != _ANON and \
-                            client_seq > state.ledger.get(client_id, 0):
+                for _, client_id, client_seq, _ in loaded:
+                    if client_seq > state.ledger.get(client_id, 0):
                         state.ledger[client_id] = client_seq
                 state.forwarded = upper
                 state.up_seq = up_seq
                 state.inflight = None
                 state.save()
-                for seq, _ in loaded:
+                for seq, *_ in loaded:
                     self.spool.remove(seq)
                 with self._lock:
                     self.forwarded_entries += len(loaded)
@@ -380,7 +354,8 @@ class RelayService(GuardedService):
     def snapshot(self) -> ProfileSet:
         """Canonical merge of everything accepted but not yet forwarded."""
         with self._forward_lock:
-            return self._merge_batch(self.pending_entries())
+            loaded = self._load_batch(self.pending_entries())
+        return ProfileSet.merged([pset for *_, pset in loaded])
 
     def alerts_since(self, cursor: int):
         # Relays do not analyze; watch the root instead.
@@ -414,12 +389,6 @@ class RelayService(GuardedService):
             return "\n".join(lines) + "\n"
 
 
-def _relay_push(server, payload: bytes) -> Reply:
-    pset = server.service.accept_payload(payload)
-    return (FrameType.OK,
-            f"relayed {pset.total_ops()} ops over {len(pset)} operations")
-
-
 def _relay_push_seq(server, client_id: str, seq: int,
                     profile: bytes) -> Reply:
     try:
@@ -429,11 +398,11 @@ def _relay_push_seq(server, client_id: str, seq: int,
     return FrameType.OK, status
 
 
-#: A relay's request table: pushes are spooled-and-acked instead of
-#: merged; metrics, snapshot and alerts are the root's own routes.
-#: SQL and the wait-state frames are answered ``unsupported``.
+#: A relay's request table: sequenced pushes are spooled-and-acked
+#: instead of merged; metrics, snapshot and alerts are the root's own
+#: routes.  SQL, the retired ``PUSH`` and the wait-state frames are
+#: answered ``unsupported``.
 RELAY_ROUTES = {
-    FrameType.PUSH: Route(_relay_push, _whole_body, gated=True),
     FrameType.PUSH_SEQ: Route(_relay_push_seq, decode_push_seq,
                               gated=True),
     **{ftype: ROUTES[ftype] for ftype in (

@@ -28,7 +28,7 @@ import re
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..core import durable
 from ..core.faults import FaultPlan
@@ -153,30 +153,53 @@ class Warehouse:
         self._fault_attempts[site] = attempt + 1
         self._plan.fire(site, key=key, attempt=attempt)
 
-    def _write_atomic(self, rel: str, payload: bytes) -> None:
-        durable.write_atomic(self.root / rel, payload)
-
-    def _write_segment(self, rel: str, payload: bytes) -> None:
-        """Land one segment payload: primary tree, then mirror copy."""
-        durable.write_atomic(self.root / rel, payload)
-        if self.mirror is not None:
-            durable.write_atomic(self.mirror / rel, payload)
-
     def _segment_file(self, source: str, tier: int, epoch: int,
                       seg_id: int) -> str:
         return (f"segments/{source}/t{tier}-{epoch:012d}-"
                 f"{seg_id:08d}{_SUFFIX}")
 
-    def _commit(self, meta: SegmentMeta, payload: bytes, site: str,
-                inputs: tuple = ()) -> SegmentMeta:
-        """The two-step commit shared by ingest and compaction."""
-        self._write_segment(meta.file, payload)
-        self._fire(site, "after-file")
-        record = meta.to_record(inputs=tuple(m.seg_id for m in inputs))
-        self.log.append(record)
+    def _profile_segment(self, source: str, tier: int, epoch: int,
+                         seg_id: int, pset: ProfileSet
+                         ) -> Tuple[SegmentMeta, bytes]:
+        """The ``(meta, payload)`` of one latency segment to commit."""
+        payload = pset.to_bytes()
+        resid = []
+        for prof in pset:
+            components = prof.histogram.latency_residual()
+            if components:
+                resid.append((prof.operation, tuple(components)))
+        meta = SegmentMeta(
+            seg_id=seg_id, source=source, tier=tier, epoch=epoch,
+            span=self.policy.span(tier),
+            file=self._segment_file(source, tier, epoch, seg_id),
+            nbytes=len(payload),
+            ops=tuple(sorted((prof.layer, prof.operation) for prof in pset)),
+            resid=tuple(sorted(resid)),
+            crc=int.from_bytes(payload[-4:], "little"))
+        return meta, payload
+
+    def _commit(self, items, site: str,
+                inputs: tuple = ()) -> List[SegmentMeta]:
+        """Commit ``(meta, payload)`` segments: the one segment write path.
+
+        Every file lands first (primary, then mirror), then one journal
+        append commits every record, then the index applies them — so a
+        committed record always implies its files.  *inputs* are the
+        metas a compaction output supersedes.
+        """
+        input_ids = tuple(m.seg_id for m in inputs)
+        records = []
+        for meta, payload in items:
+            durable.write_atomic(self.root / meta.file, payload)
+            if self.mirror is not None:
+                durable.write_atomic(self.mirror / meta.file, payload)
+            self._fire(site, "after-file")
+            records.append(meta.to_record(inputs=input_ids))
+        self.log.append_many(records)
         self._fire(site, "after-log")
-        self.index.apply(record)
-        return meta
+        for record in records:
+            self.index.apply(record)
+        return [meta for meta, _ in items]
 
     # -- ingestion -----------------------------------------------------------
 
@@ -207,8 +230,7 @@ class Warehouse:
         """
         _check_name("source", source)
         with self._lock:
-            metas: List[SegmentMeta] = []
-            payloads: List[bytes] = []
+            segments = []
             next_epoch = None
             for offset, (pset, epoch) in enumerate(items):
                 if epoch is None:
@@ -222,32 +244,9 @@ class Warehouse:
                         if next_epoch is not None else epoch + 1
                 if epoch < 0:
                     raise WarehouseError(f"negative epoch {epoch}")
-                seg_id = self.index.next_id + offset
-                payload = pset.to_bytes()
-                resid = []
-                for prof in pset:
-                    components = prof.histogram.latency_residual()
-                    if components:
-                        resid.append((prof.operation, tuple(components)))
-                metas.append(SegmentMeta(
-                    seg_id=seg_id, source=source, tier=0, epoch=epoch,
-                    span=1,
-                    file=self._segment_file(source, 0, epoch, seg_id),
-                    nbytes=len(payload),
-                    ops=tuple(sorted((prof.layer, prof.operation)
-                                     for prof in pset)),
-                    resid=tuple(sorted(resid)),
-                    crc=int.from_bytes(payload[-4:], "little")))
-                payloads.append(payload)
-            for meta, payload in zip(metas, payloads):
-                self._write_segment(meta.file, payload)
-                self._fire("warehouse.ingest", "after-file")
-            records = [meta.to_record(inputs=()) for meta in metas]
-            self.log.append_many(records)
-            self._fire("warehouse.ingest", "after-log")
-            for record in records:
-                self.index.apply(record)
-            return metas
+                segments.append(self._profile_segment(
+                    source, 0, epoch, self.index.next_id + offset, pset))
+            return self._commit(segments, "warehouse.ingest")
 
     def ingest_state(self, source: str, sprof: StateProfile,
                      epoch: Optional[int] = None) -> SegmentMeta:
@@ -277,7 +276,8 @@ class Warehouse:
                 nbytes=len(payload), ops=tuple(ops),
                 crc=int.from_bytes(payload[-4:], "little"),
                 kind="samples")
-            return self._commit(meta, payload, "warehouse.ingest_state")
+            return self._commit([(meta, payload)],
+                                "warehouse.ingest_state")[0]
 
     # -- reading -------------------------------------------------------------
 
@@ -287,19 +287,7 @@ class Warehouse:
             raise WarehouseError(
                 f"segment {meta.seg_id} holds {meta.kind!r}, not a "
                 f"latency profile (use load_state)")
-        path = self.root / meta.file
-        try:
-            data = path.read_bytes()
-        except FileNotFoundError:
-            raise WarehouseError(
-                f"committed segment {meta.seg_id} missing on disk: "
-                f"{meta.file}") from None
-        try:
-            pset = ProfileSet.from_bytes(data)
-        except ValueError as exc:
-            raise WarehouseError(
-                f"segment {meta.seg_id} ({meta.file}) damaged: {exc}") \
-                from None
+        pset = self._read_segment(meta, ProfileSet.from_bytes)
         # Restore what the codec's one-float64-per-total rounding
         # dropped at commit time, so merges over this segment stay
         # sum-exact (see SegmentMeta.resid).
@@ -308,6 +296,26 @@ class Warehouse:
             if prof is not None:
                 prof.histogram.correct_total_latency(components)
         return pset
+
+    def _read_segment(self, meta: SegmentMeta, decode):
+        """Read and *decode* one committed segment file.
+
+        The one place a committed segment's bytes are read for use: a
+        missing file or a payload *decode* rejects raises
+        :class:`WarehouseError`.
+        """
+        try:
+            data = (self.root / meta.file).read_bytes()
+        except FileNotFoundError:
+            raise WarehouseError(
+                f"committed segment {meta.seg_id} missing on disk: "
+                f"{meta.file}") from None
+        try:
+            return decode(data)
+        except ValueError as exc:
+            raise WarehouseError(
+                f"segment {meta.seg_id} ({meta.file}) damaged: {exc}") \
+                from None
 
     def _trailer_crc(self, meta: SegmentMeta) -> int:
         """The stored CRC-32 trailer of a segment file (4-byte read)."""
@@ -337,19 +345,7 @@ class Warehouse:
         if cached is not None and cached.crc == self._trailer_crc(meta):
             self.cache_hits_total += 1
             return cached
-        path = self.root / meta.file
-        try:
-            data = path.read_bytes()
-        except FileNotFoundError:
-            raise WarehouseError(
-                f"committed segment {meta.seg_id} missing on disk: "
-                f"{meta.file}") from None
-        try:
-            cols = ColumnarSegment.from_bytes(data)
-        except ValueError as exc:
-            raise WarehouseError(
-                f"segment {meta.seg_id} ({meta.file}) damaged: {exc}") \
-                from None
+        cols = self._read_segment(meta, ColumnarSegment.from_bytes)
         self._columns[meta.seg_id] = cols
         self.cache_misses_total += 1
         return cols
@@ -364,19 +360,7 @@ class Warehouse:
             raise WarehouseError(
                 f"segment {meta.seg_id} holds {meta.kind!r}, not "
                 f"wait-state samples (use load_segment)")
-        path = self.root / meta.file
-        try:
-            data = path.read_bytes()
-        except FileNotFoundError:
-            raise WarehouseError(
-                f"committed segment {meta.seg_id} missing on disk: "
-                f"{meta.file}") from None
-        try:
-            return StateProfile.from_bytes(data)
-        except ValueError as exc:
-            raise WarehouseError(
-                f"segment {meta.seg_id} ({meta.file}) damaged: {exc}") \
-                from None
+        return self._read_segment(meta, StateProfile.from_bytes)
 
     def sources(self) -> List[str]:
         with self._lock:
@@ -482,26 +466,11 @@ class Warehouse:
         merged = merged_profile_set(
             (self.load_columns(meta), dict(meta.resid))
             for meta in group.inputs)
-        payload = merged.to_bytes()
-        resid = []
-        for prof in merged:
-            components = prof.histogram.latency_residual()
-            if components:
-                resid.append((prof.operation, tuple(components)))
-        resid = tuple(sorted(resid))
-        seg_id = self.index.next_id
-        meta = SegmentMeta(
-            seg_id=seg_id, source=group.source, tier=group.tier,
-            epoch=group.epoch, span=self.policy.span(group.tier),
-            file=self._segment_file(group.source, group.tier, group.epoch,
-                                    seg_id),
-            nbytes=len(payload),
-            ops=tuple(sorted((prof.layer, prof.operation)
-                             for prof in merged)),
-            resid=resid,
-            crc=int.from_bytes(payload[-4:], "little"))
-        self._commit(meta, payload, "warehouse.compact",
-                     inputs=group.inputs)
+        segment = self._profile_segment(group.source, group.tier,
+                                        group.epoch, self.index.next_id,
+                                        merged)
+        meta, = self._commit([segment], "warehouse.compact",
+                             inputs=group.inputs)
         self._invalidate_columns(group.inputs)
         self._sweep_dead()
         return meta
@@ -664,9 +633,7 @@ class Warehouse:
 
     def save_baseline(self, name: str, pset: ProfileSet) -> None:
         """Store a named reference profile (atomic overwrite)."""
-        path = self._baseline_path(name)
-        self._write_atomic(path.relative_to(self.root).as_posix(),
-                           pset.to_bytes())
+        durable.write_atomic(self._baseline_path(name), pset.to_bytes())
 
     def load_baseline(self, name: str) -> ProfileSet:
         path = self._baseline_path(name)

@@ -32,6 +32,7 @@ import pytest
 from repro.core import durable
 from repro.core.crashfs import MODES, CrashFS
 from repro.core.profileset import ProfileSet
+from repro.sampling.stateprofile import StateProfile
 from repro.service.relay import RelayService
 from repro.service.spool import Spool
 from repro.warehouse import CompactionPolicy, Warehouse, WarehouseIndex
@@ -49,6 +50,14 @@ EPOCHS = 8
 def pset(tag):
     return ProfileSet.from_operation_latencies(
         {"read": [100.0 + tag] * 4, "write": [40.0 + tag] * 2})
+
+
+def sprof(tag):
+    out = StateProfile(name="state-samples", interval=1000.0)
+    out.intervals = 2
+    out.add("blocked", "filesystem", "read", "io:read", 5 + tag)
+    out.add("running", "user", "-", "-", 2)
+    return out
 
 
 def enumerate_images(fs, end, scratch, check):
@@ -86,14 +95,48 @@ def drive_warehouse(fs, live):
     return states
 
 
-def check_warehouse(img, point, mode, states):
+def query_view(wh):
+    return (wh.query("web").to_bytes(),)
+
+
+def mixed_view(wh):
+    return (wh.query("web").to_bytes(), wh.query_states("web").to_bytes())
+
+
+def drive_mixed_warehouse(fs, live):
+    """Record one batched latency commit, then two samples commits.
+
+    Each entry is ``(op mark, query bytes, query_states bytes)``, with
+    the same acked-prefix meaning as :func:`drive_warehouse`.  A crash
+    inside the batch may commit any prefix of its records (each journal
+    line is CRC-framed), so every prefix is a legal un-acked state; the
+    prefixes share the batch's mark, which retires them once it acks.
+    """
+    batch = [pset(i) for i in range(3)]
+    with durable.recording(fs):
+        wh = Warehouse(live, policy=TINY)
+        states = [(fs.mark(), *mixed_view(wh))]
+        no_samples = wh.query_states("web").to_bytes()
+        metas = wh.ingest_many("web", [(ps, None) for ps in batch])
+        assert len(metas) == 3, "scenario must commit a multi-segment batch"
+        mark = fs.mark()
+        states.extend((mark, ProfileSet.merged(batch[:n]).to_bytes(),
+                       no_samples) for n in range(1, len(batch)))
+        states.append((mark, *mixed_view(wh)))
+        for tag in range(2):
+            wh.ingest_state("web", sprof(tag))
+            states.append((fs.mark(), *mixed_view(wh)))
+    return states
+
+
+def check_warehouse(img, point, mode, states, view=query_view):
     violations = []
-    acked = max((i for i, (mark, _) in enumerate(states)
-                 if mark <= point), default=0)
-    legal = {snapshot for _, snapshot in states[acked:]}
+    acked = max((i for i, state in enumerate(states)
+                 if state[0] <= point), default=0)
+    legal = {state[1:] for state in states[acked:]}
     try:
         wh = Warehouse(img, policy=TINY)
-        got = wh.query("web").to_bytes()
+        got = view(wh)
         if got not in legal:
             violations.append(
                 f"recovered query matches no state at/after ack "
@@ -104,7 +147,7 @@ def check_warehouse(img, point, mode, states):
         if replayed.live_files() != wh.index.live_files():
             violations.append("recovered index != pure log replay")
         again = Warehouse(img, policy=TINY)
-        if again.query("web").to_bytes() != got:
+        if view(again) != got:
             violations.append("recovering twice != recovering once")
         # Housekeeping on a crash image must not raise and must keep
         # the warehouse serving (gc may legally evict by retention).
@@ -122,6 +165,15 @@ class TestWarehouseMatrix:
         violations = enumerate_images(
             fs, fs.mark(), tmp_path / "img",
             lambda img, p, m: check_warehouse(img, p, m, states))
+        assert violations == []
+
+    def test_batched_and_samples_commits_recover(self, tmp_path):
+        fs = CrashFS(tmp_path / "live")
+        states = drive_mixed_warehouse(fs, tmp_path / "live")
+        violations = enumerate_images(
+            fs, fs.mark(), tmp_path / "img",
+            lambda img, p, m: check_warehouse(img, p, m, states,
+                                              view=mixed_view))
         assert violations == []
 
 

@@ -68,16 +68,17 @@ class TestConcurrentPushes:
                    workload_segments(seed=200, count=3)]
         errors = []
 
-        def pusher(segments):
+        def pusher(client_id, segments):
             try:
                 with ServiceClient(host, port) as client:
-                    for pset in segments:
-                        client.push(pset)
+                    for seq, pset in enumerate(segments, 1):
+                        client.push_sequenced(client_id, seq,
+                                              pset.to_bytes())
             except Exception as exc:  # propagate into the test
                 errors.append(exc)
 
-        threads = [threading.Thread(target=pusher, args=(s,))
-                   for s in streams]
+        threads = [threading.Thread(target=pusher, args=(f"c{i}", s))
+                   for i, s in enumerate(streams)]
         for t in threads:
             t.start()
         for t in threads:
@@ -98,20 +99,21 @@ class TestConcurrentPushes:
         barrier = threading.Barrier(2)
         errors = []
 
-        def pusher(segments):
+        def pusher(client_id, segments):
             try:
                 with ServiceClient(host, port) as client:
-                    for pset in segments:
+                    for seq, pset in enumerate(segments, 1):
                         barrier.wait(timeout=60)
-                        client.push(pset)
+                        client.push_sequenced(client_id, seq,
+                                              pset.to_bytes())
                         # Rotate between pushes: segments land in
                         # different store slots on each client.
                         server.test_clock.advance(17.0)
             except Exception as exc:
                 errors.append(exc)
 
-        threads = [threading.Thread(target=pusher, args=(s,))
-                   for s in streams]
+        threads = [threading.Thread(target=pusher, args=(f"c{i}", s))
+                   for i, s in enumerate(streams)]
         for t in threads:
             t.start()
         for t in threads:
@@ -131,8 +133,9 @@ class TestLiveLockContentionDetection:
         with ServiceClient(host, port) as client:
             # Three quiet baseline segments: single-process random
             # reads — llseek is one uncontended peak.
-            for i, pset in enumerate(workload_segments(seed=1, count=3)):
-                client.push(pset)
+            for seq, pset in enumerate(workload_segments(seed=1, count=3),
+                                       1):
+                client.push_sequenced("c1", seq, pset.to_bytes())
                 server.test_clock.advance(30.0)
             cursor, alerts = client.alerts(0)
             assert alerts == [], "baseline must not alert"
@@ -142,7 +145,7 @@ class TestLiveLockContentionDetection:
             contended = collect_profiles(
                 "randomread", processes=2, iterations=300, num_cpus=2,
                 seed=99)
-            client.push(contended)
+            client.push_sequenced("c1", 4, contended.to_bytes())
             server.test_clock.advance(30.0)  # close the contended segment
             cursor, alerts = client.alerts(cursor)
 

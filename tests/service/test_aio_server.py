@@ -20,8 +20,8 @@ from repro.core.profileset import ProfileSet
 from repro.service.aio_server import READ_CHUNK, AsyncProfileServer
 from repro.service.client import (RetryAfter, ServiceClient, ServiceError,
                                   parse_endpoint)
-from repro.service.protocol import (MAGIC, FrameType, recv_frame,
-                                    send_frame, _HEADER)
+from repro.service.protocol import (MAGIC, FrameType, encode_push_seq,
+                                    recv_frame, send_frame, _HEADER)
 from repro.service.server import ProfileService, ServiceConfig
 
 
@@ -48,8 +48,8 @@ class TestWireParity:
             host, port = server.address
             sent = [pset(i) for i in range(4)]
             with ServiceClient(host, port) as client:
-                for ps in sent:
-                    status = client.push(ps)
+                for seq, ps in enumerate(sent, 1):
+                    status = client.push_sequenced("c1", seq, ps.to_bytes())
                     assert "merged" in status
                 page = client.metrics()
                 assert "osprof_ingest_requests_total 4" in page
@@ -80,9 +80,10 @@ class TestWireParity:
             host, port = server.address
             with ServiceClient(host, port) as client:
                 with pytest.raises(ServiceError):
-                    client.push_payload(b"this is not a profile")
+                    client.push_sequenced("c1", 1, b"this is not a profile")
                 # Same connection still works afterwards.
-                assert "merged" in client.push(pset())
+                assert "merged" in client.push_sequenced(
+                    "c1", 2, pset().to_bytes())
         finally:
             server.server_close()
 
@@ -110,7 +111,7 @@ class TestHardening:
             sock = socket.create_connection((host, port), timeout=5.0)
             try:
                 # Header alone declares 1 MiB: no payload ever sent.
-                sock.sendall(struct.pack("<4sBI", MAGIC, FrameType.PUSH,
+                sock.sendall(struct.pack("<4sBI", MAGIC, FrameType.PUSH_SEQ,
                                          1 << 20))
                 frame = recv_frame(sock)
                 assert frame is not None
@@ -183,7 +184,7 @@ class TestBackpressure:
             try:
                 with ServiceClient(host, port) as client:
                     with pytest.raises(RetryAfter) as exc_info:
-                        client.push(pset())
+                        client.push_sequenced("c1", 1, pset().to_bytes())
                     assert exc_info.value.seconds == pytest.approx(0.07)
             finally:
                 service.release_ingest_slot()
@@ -191,7 +192,8 @@ class TestBackpressure:
             assert service.backpressure_rejections == 1
             # Slots freed: the same wire accepts pushes again.
             with ServiceClient(host, port) as client:
-                assert "merged" in client.push(pset())
+                assert "merged" in client.push_sequenced(
+                    "c1", 1, pset().to_bytes())
         finally:
             server.server_close()
 
@@ -203,13 +205,17 @@ class TestBoundedMemory:
         service, server = make_server()
         try:
             host, port = server.address
-            payload = pset(3, ops=10).to_bytes()
-            frame = _HEADER.pack(MAGIC, FrameType.PUSH,
-                                 len(payload)) + payload
+            profile = pset(3, ops=10).to_bytes()
             count = 64
+            payloads = [encode_push_seq("c1", seq, profile)
+                        for seq in range(1, count + 1)]
+            payload = payloads[0]  # every one is the same length
+            burst = b"".join(_HEADER.pack(MAGIC, FrameType.PUSH_SEQ,
+                                          len(body)) + body
+                             for body in payloads)
             sock = socket.create_connection((host, port), timeout=10.0)
             try:
-                sock.sendall(frame * count)  # one burst, no reads between
+                sock.sendall(burst)  # one burst, no reads between
                 for _ in range(count):
                     reply = recv_frame(sock)
                     assert reply is not None and reply[0] == FrameType.OK
@@ -243,7 +249,8 @@ class TestDrain:
                     ps = pset(seed * 1000 + k, ops=8)
                     sent_ops.append(ps.total_ops())
                     try:
-                        client.push(ps)
+                        client.push_sequenced(f"c{seed}", k + 1,
+                                              ps.to_bytes())
                     except Exception:
                         return  # drain cut us off mid-request
                     acked_ops.append(ps.total_ops())

@@ -12,9 +12,12 @@ segments exactly once.
 
 import pytest
 
+from repro.core import durable
+from repro.core.crashfs import CrashFS
 from repro.core.profileset import ProfileSet
 from repro.service.aio_server import AsyncProfileServer
 from repro.service.client import ServiceUnavailableError
+from repro.service.protocol import encode_push_seq
 from repro.service.relay import RelayServer, RelayService, RelayState
 from repro.service.server import ProfileService, ServiceConfig
 
@@ -85,25 +88,31 @@ class TestAcceptPath:
         status, fresh = relay.accept_sequenced("c1", 1, pset(1).to_bytes())
         assert fresh
 
-    def test_rejections_counted_on_both_accept_paths(self, tmp_path,
-                                                     make_relay):
+    def test_rejections_counted(self, tmp_path, make_relay):
         relay = make_relay(tmp_path, ("127.0.0.1", 1))
         with pytest.raises(ValueError):
             relay.accept_sequenced("c1", 1, b"garbage")
         with pytest.raises(ValueError):
-            relay.accept_payload(b"garbage")
+            relay.accept_sequenced("c2", 1, b"garbage")
         assert relay.rejected == 2
         assert relay.accepted == 0
 
     def test_full_batch_wakes_the_forwarder(self, tmp_path, make_relay):
         relay = make_relay(tmp_path, ("127.0.0.1", 1), batch=3)
         relay.accept_sequenced("c1", 1, pset(1).to_bytes())
-        relay.accept_payload(pset(2).to_bytes())
+        relay.accept_sequenced("c2", 1, pset(2).to_bytes())
         assert not relay.forward_wake.is_set()
         relay.accept_sequenced("c1", 1, pset(1).to_bytes())  # duplicate
         assert not relay.forward_wake.is_set()
-        relay.accept_payload(pset(3).to_bytes())
+        relay.accept_sequenced("c2", 2, pset(3).to_bytes())
         assert relay.forward_wake.is_set()
+
+    def test_root_directory_goes_through_the_durable_funnel(self, tmp_path,
+                                                            make_relay):
+        fs = CrashFS(tmp_path)
+        with durable.recording(fs):
+            make_relay(tmp_path, ("127.0.0.1", 1))
+        assert ("mkdir", "leaf") in [(op.kind, op.path) for op in fs.ops]
 
     def test_snapshot_merges_pending(self, tmp_path, make_relay):
         relay = make_relay(tmp_path, ("127.0.0.1", 1))
@@ -134,13 +143,18 @@ class TestForwarding:
         assert service.snapshot().to_bytes() == \
             ProfileSet.merged(sent).to_bytes()
 
-    def test_plain_pushes_forwarded_too(self, tmp_path, root, make_relay):
+    def test_older_relay_anonymous_entries_forward(self, tmp_path, root,
+                                                   make_relay):
+        # Relays that still served the unsequenced PUSH spooled each one
+        # as client "-", seq 1; such a spool must drain after upgrade.
         service, server = root
         relay = make_relay(tmp_path, server.address)
         sent = [pset(9), pset(10)]
         for ps in sent:
-            relay.accept_payload(ps.to_bytes())
-        relay.forward()
+            relay.spool.append(encode_push_seq("-", 1, ps.to_bytes()))
+        reborn = make_relay(tmp_path, server.address)
+        assert reborn.forward() == 2
+        assert reborn.pending_entries() == []
         assert service.snapshot().to_bytes() == \
             ProfileSet.merged(sent).to_bytes()
 
@@ -218,8 +232,6 @@ class TestCrashWindows:
         relay.forward()
         # Crash window 3: commit written, spool cleanup never ran.
         # Resurrect the forwarded entry by hand.
-        from repro.core import durable
-        from repro.service.protocol import encode_push_seq
         durable.write_atomic(relay.spool._path(1), encode_push_seq(
             "c1", 1, pset(1).to_bytes()))
         reborn = make_relay(tmp_path, server.address)

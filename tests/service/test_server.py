@@ -110,10 +110,11 @@ class TestProfileService:
 
 class TestTcpFrontEnd:
     def test_push_metrics_snapshot_alerts(self, client, service):
-        status = client.push(pset(STEADY))
+        status = client.push_sequenced("c1", 1, pset(STEADY).to_bytes())
         assert "100 ops" in status
         service.test_clock.now = 6.0
-        client.push(pset({"read": [500.0] * 100}))
+        client.push_sequenced("c1", 2,
+                              pset({"read": [500.0] * 100}).to_bytes())
         service.test_clock.now = 12.0
         cursor, alerts = client.alerts(0)
         assert [a.operation for a in alerts] == ["read"]
@@ -124,9 +125,10 @@ class TestTcpFrontEnd:
     def test_corrupt_push_gets_error_frame_and_connection_survives(
             self, client):
         with pytest.raises(ServiceError):
-            client.push_payload(b"OSPROFB1garbage")
+            client.push_sequenced("c1", 1, b"OSPROFB1garbage")
         # Same connection still works.
-        assert "ops" in client.push(pset(STEADY))
+        assert "ops" in client.push_sequenced("c1", 2,
+                                              pset(STEADY).to_bytes())
 
     def test_unknown_frame_type_reports_error(self, server):
         host, port = server.address
@@ -209,7 +211,8 @@ class TestHardening:
         try:
             host, port = server.address
             with socket.create_connection((host, port), timeout=10) as sock:
-                send_frame(sock, FrameType.PUSH, pset(STEADY).to_bytes())
+                send_frame(sock, FrameType.PUSH_SEQ,
+                           encode_push_seq("c1", 1, pset(STEADY).to_bytes()))
                 ftype, payload = recv_frame(sock)
                 assert ftype == FrameType.RETRY_AFTER
                 assert decode_retry_after(payload) > 0
@@ -227,7 +230,7 @@ class TestHardening:
             with socket.create_connection((host, port), timeout=10) as sock:
                 # Header only: the server must reject from the declared
                 # length without waiting for payload bytes.
-                sock.sendall(MAGIC + struct.pack("<BI", FrameType.PUSH,
+                sock.sendall(MAGIC + struct.pack("<BI", FrameType.PUSH_SEQ,
                                                  1 << 20))
                 ftype, payload = recv_frame(sock)
                 assert ftype == FrameType.ERROR

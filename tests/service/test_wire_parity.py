@@ -43,7 +43,8 @@ def state_profile():
 
 
 PUSHED = [profile(1), profile(2)]
-#: The canonical merge both services hold after the two push rows.
+#: The canonical merge both services hold after the two accepted pushes
+#: (clients ``c0`` and ``c1``).
 MERGED = ProfileSet.merged(PUSHED).to_bytes()
 STATE = state_profile().to_bytes()
 STATE_MERGED = StateProfile.merged([state_profile()],
@@ -62,8 +63,11 @@ def unsupported(name):
 #: type is pinned (the metrics page carries timings).
 ROWS = [
     ("PUSH", FrameType.PUSH, PUSHED[0].to_bytes(),
-     (FrameType.OK, b"merged 30 ops over 2 operations"),
-     (FrameType.OK, b"relayed 30 ops over 2 operations")),
+     unsupported("PUSH"), unsupported("PUSH")),
+    ("PUSH_SEQ-c0", FrameType.PUSH_SEQ,
+     encode_push_seq("c0", 1, PUSHED[0].to_bytes()),
+     (FrameType.OK, b"merged 30 ops over 2 operations (seq 1)"),
+     (FrameType.OK, b"relayed 30 ops over 2 operations (seq 1)")),
     ("PUSH_SEQ", FrameType.PUSH_SEQ,
      encode_push_seq("c1", 1, PUSHED[1].to_bytes()),
      (FrameType.OK, b"merged 30 ops over 2 operations (seq 1)"),
@@ -77,7 +81,7 @@ ROWS = [
      (FrameType.ERROR, b"bad-payload: " + NOT_A_PROFILE),
      (FrameType.ERROR, b"bad-payload: " + NOT_A_PROFILE)),
     ("PUSH-corrupt", FrameType.PUSH, b"not a profile",
-     (FrameType.ERROR, NOT_A_PROFILE), (FrameType.ERROR, NOT_A_PROFILE)),
+     unsupported("PUSH"), unsupported("PUSH")),
     ("SNAPSHOT", FrameType.SNAPSHOT, b"",
      (FrameType.PROFILE, MERGED), (FrameType.PROFILE, MERGED)),
     ("ALERTS", FrameType.ALERTS, json.dumps({"cursor": 0}).encode(),
