@@ -21,6 +21,7 @@ pre-refactor hard-wired spindle.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List, Optional
 
 from ..sim.process import Condition, ProcBody, WaitCondition
@@ -199,7 +200,7 @@ class Disk:
         if request._attempt_failed:
             self.media_errors += 1
         self.kernel.engine.schedule(
-            service, lambda r=request, c=channel: self._complete(r, c))
+            service, partial(self._complete, request, channel))
 
     def _complete(self, request: DiskRequest, channel: int) -> None:
         if request._attempt_failed:

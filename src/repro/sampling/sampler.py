@@ -18,11 +18,11 @@ StateProfile bytes pinnable in CI.
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional
+from typing import Dict
 
 from ..sim.process import ProcessState
 from ..sim.scheduler import Kernel
-from .stateprofile import StateProfile
+from .stateprofile import CellKey, StateProfile
 
 __all__ = ["WaitStateSampler", "canonical_wait_site"]
 
@@ -65,9 +65,16 @@ class WaitStateSampler:
 
     ``interval`` is in cycles (use :func:`repro.sim.engine.seconds` to
     express it in simulated seconds).  :meth:`start` arms the first
-    tick; sampling then continues until :meth:`stop`, surviving
-    ``run_until_done`` stop predicates because the tick is an ordinary
-    engine event.
+    tick; sampling then continues until :meth:`stop`, across
+    ``run_until_done`` calls, because the tick is an ordinary engine
+    event that stays queued when a run halts.
+
+    Only engine events change the process table (a spawn queues its own
+    dispatch event), so a tick that follows the previous tick with no
+    event in between (most ticks of an I/O-bound run, whose processes
+    sit blocked for many intervals) does not walk the table again: it
+    counts one more repeat of the last walk, whose cells are added to
+    the profile, times their repeats, at the next walk or read.
     """
 
     def __init__(self, kernel: Kernel, interval: float,
@@ -79,6 +86,13 @@ class WaitStateSampler:
         self.name = name
         self._profile = StateProfile(name=name, interval=self.interval)
         self._tick_event = None
+        # The last walk's cells and their live-process total, the ticks
+        # that saw them not yet added to the profile, and the engine
+        # count at which the next tick finds no other event has run.
+        self._cells: Dict[CellKey, int] = {}
+        self._live = 0
+        self._repeats = 0
+        self._quiet_mark = -1
         # Health counters (metrics endpoint; never serialized).
         self.samples_total = 0
         self.intervals_total = 0
@@ -107,15 +121,29 @@ class WaitStateSampler:
 
     def _tick(self) -> None:
         started = time.perf_counter_ns()
-        self._capture()
+        engine = self.kernel.engine
+        if engine.events_processed != self._quiet_mark:
+            self._flush()
+            self._cells = self._capture()
+            self._live = sum(self._cells.values())
+        self._repeats += 1
+        self.samples_total += self._live
         self.intervals_total += 1
         self._profile.intervals += 1
-        self._tick_event = self.kernel.engine.schedule(
-            self.interval, self._tick)
+        self._tick_event = engine.schedule(self.interval, self._tick)
+        self._quiet_mark = engine.events_processed + 1
         self.overhead_ns_total += time.perf_counter_ns() - started
 
-    def _capture(self) -> None:
+    def _flush(self) -> None:
+        """Add the last walk's cells once per tick that saw them."""
+        repeats, self._repeats = self._repeats, 0
         add = self._profile.add
+        for (state, layer, op, site), count in self._cells.items():
+            add(state, layer, op, site, count * repeats)
+
+    def _capture(self) -> Dict[CellKey, int]:
+        """One walk of the process table: cell -> live processes in it."""
+        cells: Dict[CellKey, int] = {}
         for proc in self.kernel.processes:
             if proc.state == ProcessState.DONE:
                 continue
@@ -130,19 +158,22 @@ class WaitStateSampler:
                 site = canonical_wait_site(proc.wait_site or "unknown")
             else:
                 site = _NO_WAIT
-            add(proc.state, layer, op, site)
-            self.samples_total += 1
+            key = (proc.state, layer, op, site)
+            cells[key] = cells.get(key, 0) + 1
+        return cells
 
     # -- results -------------------------------------------------------------
 
     def profile(self) -> StateProfile:
         """A snapshot copy of the accumulated state profile."""
+        self._flush()
         snap = StateProfile(name=self.name, interval=self.interval)
         snap.merge(self._profile)
         return snap
 
     def reset(self) -> None:
         """Clear accumulated counts (health counters keep running)."""
+        self._repeats = 0
         self._profile = StateProfile(name=self.name, interval=self.interval)
 
     def metrics(self) -> Dict[str, int]:

@@ -11,11 +11,21 @@ devices.  Higher layers (:mod:`repro.sim.scheduler`, :mod:`repro.disk`,
 :mod:`repro.net`) schedule callbacks; determinism is guaranteed by the
 (time, sequence-number) ordering, so two runs with the same seed replay
 identically.
+
+The loop is the simulator's hot path, so an event costs one heap entry
+compared in C and no Python frame besides its callback: an
+:class:`Event` *is* the list ``[time, seq, fn]``.  Lists compare
+element-wise and ``seq`` is unique, so the heap orders by time, then by
+scheduling order, and never compares two callbacks.  Cancelling sets
+``fn`` to None; the loop discards such entries as they surface.  A run
+ends when the queue drains, at its ``until`` time or ``max_events``
+budget, or after the event in which a callback called :meth:`Engine.halt`.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
+from math import inf
 from typing import Callable, List, Optional
 
 __all__ = ["Event", "Engine", "CYCLES_PER_SECOND", "seconds", "cycles_to_seconds"]
@@ -34,32 +44,38 @@ def cycles_to_seconds(c: float) -> float:
     return c / CYCLES_PER_SECOND
 
 
-class Event:
-    """A scheduled callback; cancellable without queue surgery."""
+class Event(list):
+    """A scheduled callback, and its own heap entry: ``[time, seq, fn]``.
 
-    __slots__ = ("time", "seq", "fn", "cancelled")
+    The handle :meth:`Engine.schedule` returns; cancellable without
+    queue surgery (:meth:`Engine.cancel` clears ``fn``).
+    """
 
-    def __init__(self, time: float, seq: int, fn: Callable[[], None]):
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.cancelled = False
+    __slots__ = ()
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
+    @property
+    def cancelled(self) -> bool:
+        return self[2] is None
 
     def __repr__(self) -> str:
         state = " cancelled" if self.cancelled else ""
-        return f"<Event t={self.time:.0f}{state}>"
+        return f"<Event t={self[0]:.0f}{state}>"
 
 
 class Engine:
-    """The event loop: a heap of :class:`Event` plus the simulated clock."""
+    """The event loop: a heap of :class:`Event` plus the simulated clock.
+
+    :meth:`run` pops entries in ``(time, seq)`` order, skips cancelled
+    ones, and calls each live callback with the clock set to its time.
+    It stops when the queue drains, at ``until`` or ``max_events``, or
+    after the event that called :meth:`halt`.
+    """
 
     def __init__(self):
         self.now: float = 0.0
         self._queue: List[Event] = []
         self._seq = 0
+        self._halted = False
         self.events_processed = 0
 
     # -- scheduling --------------------------------------------------------
@@ -68,66 +84,88 @@ class Engine:
         """Run *fn* after *delay* cycles; returns a cancellable handle."""
         if delay < 0:
             raise ValueError("cannot schedule into the past")
-        return self.schedule_at(self.now + delay, fn)
+        self._seq += 1
+        event = Event([self.now + delay, self._seq, fn])
+        heappush(self._queue, event)
+        return event
 
     def schedule_at(self, time: float, fn: Callable[[], None]) -> Event:
         """Run *fn* at absolute simulated time *time*."""
         if time < self.now:
             raise ValueError("cannot schedule into the past")
         self._seq += 1
-        event = Event(time, self._seq, fn)
-        heapq.heappush(self._queue, event)
+        event = Event([time, self._seq, fn])
+        heappush(self._queue, event)
         return event
 
     @staticmethod
     def cancel(event: Event) -> None:
         """Cancel a pending event (idempotent)."""
-        event.cancelled = True
+        event[2] = None
 
     # -- execution ---------------------------------------------------------
 
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued."""
-        return sum(1 for e in self._queue if not e.cancelled)
+        return sum(1 for e in self._queue if e[2] is not None)
+
+    def halt(self) -> None:
+        """End the current :meth:`run` once the executing event returns.
+
+        Called from inside an event (the kernel calls it when the last
+        process a ``run_until_done`` awaits exits), so the clock stops
+        at that event and unrelated periodic events — timer ticks, flush
+        daemons — do not run it further.  Outside a run it does nothing:
+        every run starts un-halted.
+        """
+        self._halted = True
 
     def step(self) -> bool:
         """Run the next live event; False when the queue is empty."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
+        queue = self._queue
+        while queue:
+            time, _, fn = heappop(queue)
+            if fn is None:
                 continue
-            self.now = event.time
+            self.now = time
             self.events_processed += 1
-            event.fn()
+            fn()
             return True
         return False
 
     def run(self, until: Optional[float] = None,
-            max_events: Optional[int] = None,
-            stop: Optional[Callable[[], bool]] = None) -> int:
-        """Drain the queue, optionally bounded by time/events/predicate.
+            max_events: Optional[int] = None) -> int:
+        """Drain the queue, optionally bounded by time and event count.
 
         With ``until``, the clock is advanced to exactly ``until`` even
         if the queue drains earlier, so periodic observers see a full
-        window.  ``stop`` is evaluated after every event; returning True
-        halts the loop immediately (used to stop as soon as a workload
-        completes, before unrelated periodic events inflate the clock).
-        Returns the number of events executed.
+        window.  A :meth:`halt` from inside an event returns right after
+        that event, without advancing the clock.  Returns the number of
+        events executed.
         """
+        queue = self._queue
+        pop = heappop
+        limit = inf if until is None else until
+        budget = inf if max_events is None else max_events
         executed = 0
-        while self._queue:
-            if max_events is not None and executed >= max_events:
+        self._halted = False
+        while queue:
+            if executed >= budget:
                 return executed
-            head = self._queue[0]
-            if head.cancelled:
-                heapq.heappop(self._queue)
+            entry = pop(queue)
+            fn = entry[2]
+            if fn is None:
                 continue
-            if until is not None and head.time > until:
+            time = entry[0]
+            if time > limit:
+                heappush(queue, entry)
                 break
-            if not self.step():
-                break
+            self.now = time
+            self.events_processed += 1
+            fn()
             executed += 1
-            if stop is not None and stop():
+            if self._halted:
+                self._halted = False
                 return executed
         if until is not None and self.now < until:
             self.now = until

@@ -19,7 +19,8 @@ source of Figure 9's periodic ``write_super`` activity.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from functools import partial
+from typing import Callable, List, Optional
 
 from .engine import seconds
 from .process import CpuBurst, ProcBody, Process, Sleep
@@ -51,16 +52,18 @@ class TimerInterrupt:
         self.fired = 0
         self.delivered = 0  # interrupts that actually delayed a request
         self._running = False
+        self._ticks: List[Callable[[], None]] = []
 
     def start(self) -> None:
         """Arm the timer on every CPU (staggered so CPUs don't beat)."""
         if self._running:
             return
         self._running = True
-        for cpu in range(len(self.kernel.cpus)):
-            offset = self.period * (cpu + 1) / (len(self.kernel.cpus) + 1)
-            self.kernel.engine.schedule(
-                offset, lambda c=cpu: self._tick(c))
+        cpus = len(self.kernel.cpus)
+        self._ticks = [partial(self._tick, cpu) for cpu in range(cpus)]
+        for cpu in range(cpus):
+            offset = self.period * (cpu + 1) / (cpus + 1)
+            self.kernel.engine.schedule(offset, self._ticks[cpu])
 
     def stop(self) -> None:
         self._running = False
@@ -73,8 +76,7 @@ class TimerInterrupt:
             if self.cost > 0 else 0.0
         if cost > 0 and self.kernel.delay_current_chunk(cpu, cost):
             self.delivered += 1
-        self.kernel.engine.schedule(self.period,
-                                    lambda c=cpu: self._tick(c))
+        self.kernel.engine.schedule(self.period, self._ticks[cpu])
 
 
 class PeriodicDaemon:

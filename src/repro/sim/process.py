@@ -18,7 +18,7 @@ function calls in a kernel (Ext2's ``readdir`` calling ``readpage``).
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional
+from typing import Any, Callable, Generator, List, Optional
 
 __all__ = ["CpuBurst", "Sleep", "WaitCondition", "YieldCpu", "Spawn",
            "Condition", "Process", "ProcessState", "Effect", "ProcBody"]
@@ -136,7 +136,8 @@ class Process:
                  "sys_time", "user_time", "wait_time", "last_blocked_at",
                  "preempt_pending", "preemptions", "voluntary_switches",
                  "exit_value", "started_at", "finished_at",
-                 "request_context", "wait_site")
+                 "request_context", "wait_site", "on_chunk_done",
+                 "on_wake", "on_resume")
 
     def __init__(self, pid: int, name: str, gen: ProcBody):
         self.pid = pid
@@ -166,6 +167,12 @@ class Process:
         #: (a Condition name such as ``sem:i_sem:42``, or ``sleep``);
         #: None whenever the process is not blocked.
         self.wait_site: Optional[str] = None
+        #: The kernel's event callbacks for this process, bound once at
+        #: spawn: its CPU chunk finished, its sleep ended, its context
+        #: switch completed.
+        self.on_chunk_done: Optional[Callable[[], None]] = None
+        self.on_wake: Optional[Callable[[], None]] = None
+        self.on_resume: Optional[Callable[[], None]] = None
 
     @property
     def done(self) -> bool:

@@ -94,7 +94,8 @@ class SimRandom:
         if sigma == 0:
             return mean
         mu = math.log(mean) - sigma * sigma / 2.0
-        return self._rng.lognormvariate(mu, sigma)
+        # random.lognormvariate is exactly this, one call deeper.
+        return math.exp(self._rng.normalvariate(mu, sigma))
 
     def exponential(self, mean: float) -> float:
         """Exponential inter-arrival time with the given mean."""

@@ -17,13 +17,16 @@ the paper instruments.  It is a round-robin scheduler over N CPUs:
 Processes are generator coroutines (:mod:`repro.sim.process`).  The
 scheduler maintains the invariant that a RUNNING process always has
 exactly one pending completion event for its current burst chunk.
+The callbacks it schedules for a process (chunk done, wake, resume)
+are bound once at :meth:`Kernel.spawn`, so an event calls straight
+into the scheduler with no per-event closure.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
+from functools import partial
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set
 
 from .clock import POWERUP_SKEW_SECONDS, TscBank
 from .engine import Engine, Event, seconds
@@ -94,6 +97,10 @@ class Kernel:
         #: completion-side code (the disk driver) can attribute submitted
         #: work to the submitting request's pipeline context.
         self.stepping: Optional[Process] = None
+        #: Pids :meth:`run_until_done` still waits for; the exit of the
+        #: last one halts the engine.
+        self._awaiting: Set[int] = set()
+        self._on_dispatch = self._maybe_dispatch
 
     # -- time ----------------------------------------------------------------
 
@@ -132,10 +139,13 @@ class Kernel:
         proc.gen = body(proc) if callable(body) else body
         proc.started_at = self.engine.now
         proc.quantum_left = self.quantum
+        proc.on_chunk_done = partial(self._chunk_done, proc)
+        proc.on_wake = partial(self._wake, proc)
+        proc.on_resume = partial(self._continue, proc)
         self.processes.append(proc)
         self._exit_conditions[proc.pid] = Condition(f"exit:{proc.name}")
         self.run_queue.append(proc)
-        self.engine.schedule(0.0, self._maybe_dispatch)
+        self.engine.schedule(0.0, self._on_dispatch)
         return proc
 
     def join(self, proc: Process) -> ProcBody:
@@ -193,8 +203,7 @@ class Kernel:
             self.context_switches += 1
         cpu.last_pid = proc.pid
         if switch_cost > 0:
-            self.engine.schedule(switch_cost,
-                                 lambda p=proc: self._continue(p))
+            self.engine.schedule(switch_cost, proc.on_resume)
         else:
             self._continue(proc)
 
@@ -219,15 +228,18 @@ class Kernel:
 
     def _run_chunk(self, proc: Process) -> None:
         cpu = self.cpus[proc.cpu]
-        if proc.quantum_left <= 0:
+        quantum_left = proc.quantum_left
+        if quantum_left <= 0:
             self._quantum_expired(proc)
             return
-        chunk = min(proc.remaining_burst, proc.quantum_left)
+        chunk = proc.remaining_burst
+        if chunk > quantum_left:
+            chunk = quantum_left
+        engine = self.engine
         cpu.chunk_size = chunk
-        cpu.chunk_started = self.engine.now
-        cpu.chunk_end = self.engine.now + chunk
-        cpu.chunk_event = self.engine.schedule(
-            chunk, lambda p=proc: self._chunk_done(p))
+        cpu.chunk_started = engine.now
+        cpu.chunk_end = engine.now + chunk
+        cpu.chunk_event = engine.schedule(chunk, proc.on_chunk_done)
 
     def _chunk_done(self, proc: Process) -> None:
         cpu = self.cpus[proc.cpu]
@@ -283,75 +295,65 @@ class Kernel:
         """Advance the generator until it blocks, burns CPU, or exits."""
         previous = self.stepping
         self.stepping = proc
+        send = proc.gen.send
         try:
-            self._step_inner(proc)
+            while True:
+                try:
+                    effect = send(proc.send_value)
+                except StopIteration as stop:
+                    self._finish(proc, stop.value)
+                    return
+                proc.send_value = None
+                kind = type(effect)
+
+                if kind is CpuBurst:
+                    if effect.cycles <= 0:
+                        continue
+                    proc.remaining_burst = effect.cycles
+                    # Deferred (non-preemptive-kernel) preemption happens
+                    # at the first burst boundary where the process is in
+                    # user mode.
+                    if (proc.preempt_pending and proc.in_kernel == 0
+                            and self.run_queue):
+                        proc.preempt_pending = False
+                        proc.preemptions += 1
+                        self._requeue(proc)
+                    else:
+                        self._run_chunk(proc)
+                    return
+                if kind is WaitCondition:
+                    proc.preempt_pending = False
+                    proc.wait_site = effect.condition.name or "condition"
+                    effect.condition.waiters.append(proc)
+                    self._block(proc)
+                    return
+                if kind is Sleep:
+                    proc.preempt_pending = False
+                    proc.wait_site = "sleep"
+                    self._block(proc)
+                    self.engine.schedule(effect.cycles, proc.on_wake)
+                    return
+                if kind is YieldCpu:
+                    proc.voluntary_switches += 1
+                    proc.preempt_pending = False
+                    if self.run_queue:
+                        self._requeue(proc)
+                        return
+                    proc.quantum_left = self.quantum
+                    continue
+                if kind is Spawn:
+                    proc.send_value = self.spawn(effect.body, effect.name)
+                    continue
+                raise TypeError(f"process {proc.name} yielded "
+                                f"unknown effect {effect!r}")
         finally:
             self.stepping = previous
-
-    def _step_inner(self, proc: Process) -> None:
-        while True:
-            try:
-                effect = proc.gen.send(proc.send_value)
-            except StopIteration as stop:
-                self._finish(proc, stop.value)
-                return
-            proc.send_value = None
-
-            # Deferred (non-preemptive-kernel) preemption happens at the
-            # first effect boundary where the process is in user mode.
-            boundary_preempt = (proc.preempt_pending
-                                and proc.in_kernel == 0
-                                and bool(self.run_queue))
-
-            if isinstance(effect, CpuBurst):
-                if effect.cycles <= 0:
-                    continue
-                proc.remaining_burst = effect.cycles
-                if boundary_preempt:
-                    proc.preempt_pending = False
-                    proc.preemptions += 1
-                    self._requeue(proc)
-                else:
-                    self._run_chunk(proc)
-                return
-            if isinstance(effect, Sleep):
-                proc.preempt_pending = False
-                proc.wait_site = "sleep"
-                self._block(proc)
-                self.engine.schedule(effect.cycles,
-                                     lambda p=proc: self._wake(p))
-                return
-            if isinstance(effect, WaitCondition):
-                proc.preempt_pending = False
-                proc.wait_site = effect.condition.name or "condition"
-                effect.condition.waiters.append(proc)
-                self._block(proc)
-                return
-            if isinstance(effect, YieldCpu):
-                proc.voluntary_switches += 1
-                proc.preempt_pending = False
-                if self.run_queue:
-                    self._requeue(proc)
-                    return
-                proc.quantum_left = self.quantum
-                continue
-            if isinstance(effect, Spawn):
-                child = self.spawn(effect.body, effect.name)
-                proc.send_value = child
-                if proc.state != ProcessState.RUNNING:
-                    # spawn() may have dispatched the child onto our CPU?
-                    # It cannot: we are RUNNING and hold this CPU.  But a
-                    # defensive stop keeps the invariant explicit.
-                    return
-                continue
-            raise TypeError(f"process {proc.name} yielded "
-                            f"unknown effect {effect!r}")
 
     # -- state transitions ---------------------------------------------------------------
 
     def _schedule_dispatch(self) -> None:
         """Run the dispatcher as its own event, never nested in a _step."""
-        self.engine.schedule(0.0, self._maybe_dispatch)
+        self.engine.schedule(0.0, self._on_dispatch)
 
     def _requeue(self, proc: Process) -> None:
         proc.state = ProcessState.RUNNABLE
@@ -426,6 +428,11 @@ class Kernel:
         self.fire_condition(self._exit_conditions[proc.pid], value,
                             wake_all=True)
         self._schedule_dispatch()
+        awaiting = self._awaiting
+        if proc.pid in awaiting:
+            awaiting.discard(proc.pid)
+            if not awaiting:
+                self.engine.halt()
 
     # -- interrupt support ------------------------------------------------------------------
 
@@ -446,8 +453,8 @@ class Kernel:
             return False
         self.engine.cancel(cpu.chunk_event)
         cpu.chunk_end += cost
-        cpu.chunk_event = self.engine.schedule_at(
-            cpu.chunk_end, lambda p=proc: self._chunk_done(p))
+        cpu.chunk_event = self.engine.schedule_at(cpu.chunk_end,
+                                                  proc.on_chunk_done)
         return True
 
     # -- driving ----------------------------------------------------------------------
@@ -481,13 +488,18 @@ class Kernel:
 
         Stops at the exact event that completes the last process, so
         unrelated periodic events (timer ticks, flush daemons) do not
-        run the clock past the workload's end.
+        run the clock past the workload's end: :meth:`_finish` counts
+        the awaited pids down and halts the engine at the last one.  If
+        none is left to wait for, one event (if any) still runs.
         """
-        def all_done() -> bool:
-            return all(p.done for p in procs)
-
-        consumed = self.engine.run(max_events=max_events, stop=all_done)
-        if not all_done():
+        awaiting = {p.pid for p in procs if not p.done}
+        self._awaiting = awaiting
+        try:
+            consumed = self.engine.run(
+                max_events=max_events if awaiting else min(1, max_events))
+        finally:
+            self._awaiting = set()
+        if awaiting:
             stuck = [p.name for p in procs if not p.done]
             if consumed >= max_events:
                 raise RuntimeError(

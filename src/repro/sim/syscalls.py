@@ -78,11 +78,13 @@ class SyscallLayer:
     def __init__(self, kernel: Kernel, probe: ProbePoint,
                  syscall_cost: float = DEFAULT_SYSCALL_COST,
                  instrumentation: str = "full"):
-        hook_cost(instrumentation)  # reject unknown variants up front
         self.kernel = kernel
         self.probe_point = probe
         self.syscall_cost = syscall_cost
         self.instrumentation = instrumentation
+        # Per-hook cycles of the variant, fixed for the layer's lifetime
+        # (raises ValueError on an unknown variant).
+        self._hook = hook_cost(instrumentation)
         self.calls = 0
 
     def invoke(self, proc: Process, operation: str,
@@ -95,7 +97,7 @@ class SyscallLayer:
                                                 fs.read(proc, file, n))
         """
         self.calls += 1
-        hook = hook_cost(self.instrumentation)
+        hook = self._hook
         probe = self.probe_point
         # Stamp the root request context: this is where a request enters
         # the system, so every probed layer below shares its request id.

@@ -39,10 +39,16 @@ _SYSTEM_RUNS = (
 LAYERS = ("user", "fs", "driver")
 
 
-def _capture_system(workload: str, fs_type: str, kwargs, layer: str):
-    system = System.build(fs_type=fs_type, num_cpus=1, seed=2006,
-                          with_timer=False)
+def _run_system(workload: str, fs_type: str, kwargs, **build) -> System:
+    options = dict(fs_type=fs_type, num_cpus=1, seed=2006, with_timer=False)
+    options.update(build)
+    system = System.build(**options)
     run_named_workload(system, workload, seed=2006, **kwargs)
+    return system
+
+
+def _capture_system(workload: str, fs_type: str, kwargs, layer: str):
+    system = _run_system(workload, fs_type, kwargs)
     return {"user": system.user_profiles,
             "fs": system.fs_profiles,
             "driver": system.driver_profiles}[layer]()
@@ -176,9 +182,7 @@ PINNED_VARIANTS = ("off", "empty", "tsc_only")
 
 
 def _capture_variant(workload: str, kwargs, variant: str):
-    system = System.build(fs_type="ext2", num_cpus=1, seed=2006,
-                          with_timer=False, instrumentation=variant)
-    run_named_workload(system, workload, seed=2006, **kwargs)
+    system = _run_system(workload, "ext2", kwargs, instrumentation=variant)
     return {"driver": digest(system.driver_profiles()),
             "now": repr(system.kernel.now)}
 
@@ -189,4 +193,77 @@ VARIANT_CAPTURES = {
         lambda w=workload, k=kwargs, v=variant: _capture_variant(w, k, v))
     for workload, kwargs in _VARIANT_RUNS
     for variant in PINNED_VARIANTS
+}
+
+
+# -- engine-stream pins -------------------------------------------------------
+#
+# The pins above freeze what a run *recorded*; these freeze the event
+# stream that produced it: how many engine events ran, how many context
+# switches the scheduler made, and the exact simulated time at the end.
+# A dropped, duplicated or coalesced event moves at least one of the
+# three even where no recorded byte changes.
+
+
+def engine_stream(system: System) -> Dict[str, object]:
+    """The pinned event-stream fingerprint of one finished run."""
+    return {"events": system.engine.events_processed,
+            "context_switches": system.kernel.context_switches,
+            "now": repr(system.kernel.now)}
+
+
+def _stream_scenario(name: str) -> Dict[str, object]:
+    """A scenario row at its registry defaults, as ``_capture_scenario``."""
+    from repro.scenarios import build_system
+    row = SCENARIOS[name]
+    system = build_system(name, fs_type=row.fs_type, seed=2006)
+    run_named_workload(system, row.workload, seed=2006, scale=row.scale,
+                       processes=row.processes, iterations=row.iterations)
+    return engine_stream(system)
+
+
+def _stream_variant(workload: str, kwargs, variant: str):
+    return engine_stream(
+        _run_system(workload, "ext2", kwargs, instrumentation=variant))
+
+
+def _stream_sampled() -> Dict[str, object]:
+    from repro.scenarios import build_system
+    system = build_system(None, seed=2006,
+                          state_sample_interval=STATE_SAMPLE_INTERVAL)
+    run_named_workload(system, "randomread", seed=2006, processes=2,
+                       iterations=300)
+    return engine_stream(system)
+
+
+def _stream_cifs() -> Dict[str, object]:
+    mount = build_cifs_mount(scale=0.02, flavor="windows", delayed_ack=True)
+    run_grep(mount.client, mount.root)
+    return engine_stream(mount.client)
+
+
+#: Pin name -> zero-argument callable returning :func:`engine_stream`.
+#: The device scenarios and grep are the capture benchmark's unsampled
+#: items; the variant runs are ``VARIANT_CAPTURES``.  The last four arm
+#: what those leave idle: the timer interrupt and mid-chunk preemption
+#: on two CPUs (with and without in-kernel preemption), the wait-state
+#: sampler's tick, and the TCP delayed-ACK timer that a reply cancels.
+ENGINE_STREAM_CAPTURES: Dict[str, Callable[[], Dict[str, object]]] = {
+    **{f"scenario-{name}": (lambda n=name: _stream_scenario(n))
+       for name in ("spindle-randomread", "ssd-gc", "raid0-stripe",
+                    "throttled-iops")},
+    "grep-ext2": lambda: engine_stream(
+        _run_system("grep", "ext2", dict(scale=0.02))),
+    **{f"{workload}-{variant}": (
+        lambda w=workload, k=kwargs, v=variant: _stream_variant(w, k, v))
+       for workload, kwargs in _VARIANT_RUNS
+       for variant in PINNED_VARIANTS},
+    "randomread-timer-2cpu": lambda: engine_stream(_run_system(
+        "randomread", "ext2", dict(iterations=300, processes=3),
+        num_cpus=2, with_timer=True)),
+    "randomread-preemptive-2cpu": lambda: engine_stream(_run_system(
+        "randomread", "ext2", dict(iterations=300, processes=4),
+        num_cpus=2, kernel_preemption=True, with_timer=True)),
+    "randomread-sampled": _stream_sampled,
+    "grep-cifs-windows": _stream_cifs,
 }

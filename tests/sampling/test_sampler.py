@@ -9,6 +9,8 @@ The two load-bearing properties:
   unsampled run under the same seed.
 """
 
+from unittest import mock
+
 import pytest
 
 from repro.sampling import WaitStateSampler, canonical_wait_site
@@ -181,3 +183,57 @@ class TestMetrics:
         assert metrics["osprof_sample_intervals_total"] == sprof.intervals
         assert metrics["osprof_sampler_overhead_ns_total"] >= 0
         assert sprof.total_samples() > 0
+
+
+class TestQuietTicks:
+    """A tick with no event since the previous one reuses its walk."""
+
+    def run(self, workload, extra_sampler):
+        from repro.workloads.runner import run_named_workload
+        system = System.build(fs_type="ext2", seed=2006, with_timer=False,
+                              state_sample_interval=INTERVAL)
+        twin = None
+        if extra_sampler:
+            # A second sampler on the same period ticks right after the
+            # first, so neither ever sees a quiet interval: both walk
+            # the process table on every tick.
+            twin = WaitStateSampler(system.kernel, INTERVAL)
+            twin.start()
+        with mock.patch.object(WaitStateSampler, "_capture", autospec=True,
+                               side_effect=WaitStateSampler._capture) as walk:
+            run_named_workload(system, workload, seed=2006, processes=2,
+                               iterations=200)
+        return system.state_profile(), twin, walk.call_count
+
+    @pytest.mark.parametrize("workload", ["randomread", "postmark"])
+    def test_reuse_matches_a_walk_on_every_tick(self, workload):
+        reused, _, walks = self.run(workload, extra_sampler=False)
+        walked, twin, twin_walks = self.run(workload, extra_sampler=True)
+        assert reused.to_bytes() == walked.to_bytes()
+        assert twin.profile().to_bytes() == walked.to_bytes()
+        assert twin_walks == 2 * walked.intervals
+        if workload == "randomread":
+            # Blocked on the disk most of the time: most ticks are quiet.
+            assert walks < reused.intervals / 2
+
+    def test_reads_between_runs_count_every_quiet_tick(self):
+        from repro.sim.process import Sleep
+        from repro.sim.scheduler import Kernel
+        kernel = Kernel(context_switch_cost=0.0)
+
+        def sleeper(proc):
+            yield Sleep(1e9)
+
+        for _ in range(3):
+            kernel.spawn(sleeper)
+        sampler = WaitStateSampler(kernel, 1000.0)
+        sampler.start()
+        kernel.run(until=10_500)
+        sprof = sampler.profile()
+        assert sprof.intervals == 10
+        assert sprof.count("blocked", "user", "-", "sleep") == 30
+        assert sampler.metrics()["osprof_samples_total"] == 30
+        sampler.reset()
+        kernel.run(until=15_500)
+        assert sampler.profile().count("blocked", "user", "-", "sleep") == 15
+        assert sampler.metrics()["osprof_samples_total"] == 45

@@ -71,6 +71,41 @@ class TestScheduling:
         engine.cancel(e1)
         assert engine.pending() == 1
 
+    def test_cancelled_head_is_skipped(self):
+        engine = Engine()
+        seen = []
+        head = engine.schedule(10, lambda: seen.append("head"))
+        engine.schedule(20, lambda: seen.append("next"))
+        engine.cancel(head)
+        assert head.cancelled
+        assert engine.pending() == 1
+        assert engine.run() == 1
+        assert seen == ["next"]
+        assert engine.now == 20
+        assert engine.events_processed == 1
+
+    def test_step_skips_cancelled_head(self):
+        engine = Engine()
+        seen = []
+        engine.cancel(engine.schedule(1, lambda: seen.append(1)))
+        engine.schedule(2, lambda: seen.append(2))
+        assert engine.step() is True
+        assert seen == [2]
+        assert engine.step() is False
+
+    def test_event_is_its_heap_entry(self):
+        engine = Engine()
+
+        def fn():
+            return None
+
+        event = engine.schedule(7, fn)
+        assert list(event) == [7, 1, fn]
+        assert not event.cancelled
+        assert repr(event) == "<Event t=7>"
+        # Same time: the sequence number orders, never the callback.
+        assert event < engine.schedule(7, lambda: None)
+
 
 class TestRunBounds:
     def test_until_advances_clock_even_if_queue_drains(self):
@@ -97,15 +132,45 @@ class TestRunBounds:
         assert executed == 2
         assert seen == [0, 1]
 
-    def test_stop_predicate_halts_immediately(self):
+    def test_halt_stops_after_the_current_event(self):
         engine = Engine()
         seen = []
+
+        def second():
+            seen.append(2)
+            engine.halt()
+
         engine.schedule(1, lambda: seen.append(1))
-        engine.schedule(2, lambda: seen.append(2))
+        engine.schedule(2, second)
         engine.schedule(3, lambda: seen.append(3))
-        engine.run(stop=lambda: len(seen) >= 2)
+        assert engine.run() == 2
         assert seen == [1, 2]
         assert engine.now == 2
+
+    def test_halt_skips_the_until_clock_advance(self):
+        engine = Engine()
+        engine.schedule(5, engine.halt)
+        engine.schedule(50, lambda: None)
+        engine.run(until=100)
+        assert engine.now == 5
+        assert engine.pending() == 1
+
+    def test_halted_run_does_not_halt_the_next(self):
+        engine = Engine()
+        seen = []
+        engine.schedule(1, engine.halt)
+        engine.schedule(2, lambda: seen.append(2))
+        engine.schedule(3, lambda: seen.append(3))
+        assert engine.run() == 1
+        assert engine.run() == 2
+        assert seen == [2, 3]
+
+    def test_halt_outside_a_run_is_ignored(self):
+        engine = Engine()
+        engine.schedule(1, lambda: None)
+        engine.schedule(2, lambda: None)
+        engine.halt()
+        assert engine.run() == 2
 
     def test_step_returns_false_on_empty(self):
         assert Engine().step() is False

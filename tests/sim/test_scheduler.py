@@ -334,6 +334,91 @@ class TestWakeupPreemption:
         assert timeline[0][0] == "hog_done"
 
 
+class TestRunUntilDone:
+    """Completion counting: the last awaited exit halts the engine."""
+
+    def test_stops_at_the_completion_event_with_a_timer_armed(self):
+        from repro.sim.interrupts import TimerInterrupt
+        k = make_kernel()
+        timer = TimerInterrupt(k, period=300, cost=0)
+        timer.start()
+
+        def body(proc):
+            yield CpuBurst(1000)
+
+        p = k.spawn(body, "p")
+        k.run_until_done([p])
+        assert k.now == p.finished_at == pytest.approx(1000)
+        assert timer.fired == 3
+        # The next tick is still queued for whoever runs the engine next.
+        assert k.engine.pending() >= 1
+        k.run(until=1300)
+        assert timer.fired == 4
+
+    def test_unawaited_exit_does_not_halt(self):
+        k = make_kernel(context_switch_cost=0.0)
+
+        def short(proc):
+            yield CpuBurst(10)
+
+        def long(proc):
+            yield Sleep(5000)
+
+        quick = k.spawn(short, "quick")
+        slow = k.spawn(long, "slow")
+        k.run_until_done([slow])
+        assert quick.finished_at < slow.finished_at == k.now
+
+    def test_exits_after_a_run_until_done_do_not_halt_later_runs(self):
+        k = make_kernel(context_switch_cost=0.0)
+
+        def sleeper(delay):
+            def body(proc):
+                yield Sleep(delay)
+            return body
+
+        first = k.spawn(sleeper(100), "first")
+        k.run_until_done([first])
+        later = [k.spawn(sleeper(d), f"p{d}") for d in (200, 300)]
+        k.run()
+        assert all(p.done for p in later)
+        assert k.engine.pending() == 0
+
+    def test_already_done_runs_exactly_one_event(self):
+        k = make_kernel()
+
+        def body(proc):
+            yield CpuBurst(10)
+
+        p = k.spawn(body, "p")
+        k.run_until_done([p])
+        k.engine.run()  # drain the exit's dispatch
+        seen = []
+        k.engine.schedule(5, lambda: seen.append(1))
+        k.engine.schedule(6, lambda: seen.append(2))
+        before = k.engine.events_processed
+        k.run_until_done([p])
+        assert seen == [1]
+        assert k.engine.events_processed == before + 1
+        # With nothing queued it returns at once, without an error.
+        k.engine.run()
+        k.run_until_done([p])
+        assert seen == [1, 2]
+
+    def test_event_budget_exhausted(self):
+        k = make_kernel()
+
+        def endless(proc):
+            while True:
+                yield CpuBurst(100)
+
+        p = k.spawn(endless, "endless")
+        with pytest.raises(RuntimeError, match=r"event budget exhausted "
+                           r"with processes pending: \['endless'\]"):
+            k.run_until_done([p], max_events=50)
+        assert k.engine.events_processed == 50
+
+
 class TestShutdownAndErrors:
     def test_deadlock_detected(self):
         k = make_kernel()
@@ -343,7 +428,8 @@ class TestShutdownAndErrors:
             yield WaitCondition(cond)
 
         p = k.spawn(stuck, "stuck")
-        with pytest.raises(RuntimeError, match="deadlock"):
+        with pytest.raises(RuntimeError, match=r"deadlock: no events pending "
+                           r"but processes not done: \['stuck'\]"):
             k.run_until_done([p])
 
     def test_shutdown_closes_generators(self):
