@@ -187,16 +187,14 @@ class RelayService(GuardedService):
         # Entries at or below the committed watermark are leftovers of
         # a crash between batch commit and deletion: purge them.  The
         # rest re-seed the dedup ledger (their acks may never have
-        # reached the client, so replays must be recognized).
+        # reached the client, so replays must be recognized), decoded
+        # like a batch: an entry that no longer decodes is quarantined
+        # now and seeds nothing.
         for seq in self.spool.pending():
             if seq <= self.state.forwarded:
                 self.spool.remove(seq)
-                continue
-            try:
-                client_id, client_seq, _ = decode_push_seq(
-                    self.spool.payload(seq))
-            except ValueError:
-                continue
+        for _, client_id, client_seq, _ in self._load_batch(
+                self.pending_entries()):
             self.ledger.record(client_id, client_seq)
 
     # -- the accept path (called by the transport) --------------------------
@@ -262,7 +260,9 @@ class RelayService(GuardedService):
         (kept for forensics, counted by ``osprof_spool_corrupt_total``)
         and the batch proceeds without it — delayed or quarantined,
         never silently wrong.  Entries an older relay spooled for plain
-        unsequenced pushes decode as client ``-``, seq 1.
+        unsequenced pushes carry a ``PUSH_SEQ`` header as client ``-``,
+        seq 1, and forward like any other; a bare ``ProfileSet`` entry
+        with no such header does not decode and is quarantined.
         """
         loaded = []
         for seq in entries:

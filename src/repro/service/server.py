@@ -382,6 +382,9 @@ class ProfileService(GuardedService):
         """The plaintext metrics page (Prometheus exposition style)."""
         wh = self.warehouse
         with self._lock:
+            # Distinct retained operations, without merging histograms.
+            operations = {prof.operation for seg in self.store.segments()
+                          for prof in seg.pset}
             lines = [
                 "# OSprof continuous profiling service",
                 f"osprof_segment_seconds {self.store.segment_length:g}",
@@ -396,7 +399,7 @@ class ProfileService(GuardedService):
                 f"osprof_ingest_ops_total {self.ingest_ops}",
                 f"osprof_ingest_seconds_sum {self.ingest_seconds_sum:.9f}",
                 f"osprof_ingest_seconds_max {self.ingest_seconds_max:.9f}",
-                f"osprof_store_operations {len(self.store.merged())}",
+                f"osprof_store_operations {len(operations)}",
                 f"osprof_alerts_total "
                 f"{len(self._alerts) + self._alerts_dropped}",
                 f"osprof_ingest_duplicates_total {self.ingest_duplicates}",

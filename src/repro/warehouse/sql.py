@@ -534,67 +534,38 @@ def _validate(stmt: SelectStatement) -> Tuple[bool, bool, bool]:
     return has_agg, bucket_level, sample_level
 
 
-def _scan_rows(warehouse, stmt: SelectStatement, bucket_level: bool,
+def _scan_rows(view, stmt: SelectStatement, bucket_level: bool,
                sample_level: bool = False):
-    """Yield ``(row_dict, contribution)`` in deterministic scan order.
+    """Yield ``(row_dict, contribution)`` over a warehouse snapshot.
 
-    *contribution* is ``(cols, i, resid_components)`` for profile-level
-    rows (the exact accumulation inputs), ``(bucket, count)`` for
-    bucket-level rows, or the cell's sample count for sample-level
-    rows.
+    *view* is ``Warehouse.snapshot`` output, so the scan order is
+    deterministic.  *contribution* is ``(cols, i, resid_components)``
+    for profile-level rows (the exact accumulation inputs),
+    ``(bucket, count)`` for bucket-level rows, or the cell's sample
+    count for sample-level rows.
     """
-    if sample_level:
-        for source in warehouse.sources():
-            for meta in warehouse.segments(source, kind="samples"):
-                sprof = warehouse.load_state(meta)
-                base = {"source": meta.source, "epoch": meta.epoch,
-                        "epoch_end": meta.epoch_end, "tier": meta.tier}
-                for (state, layer, op, site), count in sprof:
-                    row = dict(base)
-                    row["layer"] = layer
-                    row["op"] = op
-                    row["state"] = state
-                    row["wait_site"] = site
-                    row["samples"] = count
-                    if stmt.where is None or _eval(stmt.where, row):
-                        yield row, count
-        return
-    spec: Optional[BucketSpec] = None
-    for source in warehouse.sources():
-        for meta in warehouse.segments(source):
-            cols = warehouse.load_columns(meta)
-            if spec is None:
-                spec = BucketSpec(cols.resolution)
-            elif cols.resolution != spec.resolution:
-                raise QueryError(
-                    "segments disagree on bucket resolution; query "
-                    "them separately")
-            resid = dict(meta.resid)
-            base = {"source": meta.source, "epoch": meta.epoch,
-                    "epoch_end": meta.epoch_end, "tier": meta.tier}
-            for i, operation in enumerate(cols.ops):
-                row = dict(base)
-                row["op"] = operation
-                row["layer"] = cols.layers[i]
-                if not bucket_level:
-                    if stmt.where is None or _eval(stmt.where, row):
-                        yield row, (cols, i, resid.get(operation))
-                    continue
-                a, b = cols.row_start[i], cols.row_start[i + 1]
-                for j in range(a, b):
-                    brow = dict(row)
-                    brow["bucket"] = cols.bucket_ids[j]
-                    brow["count"] = cols.bucket_counts[j]
-                    if stmt.where is None or _eval(stmt.where, brow):
-                        yield brow, (cols.bucket_ids[j],
-                                     cols.bucket_counts[j])
-
-
-def _spec_of(warehouse) -> BucketSpec:
-    for source in warehouse.sources():
-        for meta in warehouse.segments(source):
-            return BucketSpec(warehouse.load_columns(meta).resolution)
-    return BucketSpec()
+    for meta, seg in view:
+        base = {"source": meta.source, "epoch": meta.epoch,
+                "epoch_end": meta.epoch_end, "tier": meta.tier}
+        if sample_level:
+            for (state, layer, op, site), count in seg:
+                row = dict(base, layer=layer, op=op, state=state,
+                           wait_site=site, samples=count)
+                if stmt.where is None or _eval(stmt.where, row):
+                    yield row, count
+            continue
+        resid = dict(meta.resid)
+        for i, operation in enumerate(seg.ops):
+            row = dict(base, op=operation, layer=seg.layers[i])
+            if not bucket_level:
+                if stmt.where is None or _eval(stmt.where, row):
+                    yield row, (seg, i, resid.get(operation))
+                continue
+            for j in range(seg.row_start[i], seg.row_start[i + 1]):
+                brow = dict(row, bucket=seg.bucket_ids[j],
+                            count=seg.bucket_counts[j])
+                if stmt.where is None or _eval(stmt.where, brow):
+                    yield brow, (seg.bucket_ids[j], seg.bucket_counts[j])
 
 
 def _aggregate_value(item: SelectItem, group: _GroupState,
@@ -643,10 +614,13 @@ def _aggregate_value(item: SelectItem, group: _GroupState,
 def execute_sql(warehouse, query) -> QueryResult:
     """Run one query (text or parsed statement) against a warehouse.
 
-    Scans the live segments through the warehouse's decoded-columns
-    cache, so repeated analytics over an unchanged warehouse never
-    re-decode.  Raises :class:`QueryError` for malformed or statically
-    invalid queries and ``WarehouseError`` for a missing baseline.
+    Scans one ``Warehouse.snapshot`` (latency segments come through
+    the decoded-columns cache, so repeated analytics never re-decode):
+    one committed state across all sources, even while compaction or
+    gc runs on another thread.  The bucket spec comes from that view;
+    aggregation runs outside the warehouse lock.  Raises
+    :class:`QueryError` for malformed or statically invalid queries
+    and ``WarehouseError`` for a missing baseline.
     """
     stmt = parse_sql(query) if isinstance(query, str) else query
     has_agg, bucket_level, sample_level = _validate(stmt)
@@ -659,13 +633,19 @@ def execute_sql(warehouse, query) -> QueryResult:
             pset = warehouse.load_baseline(item.baseline)
             baselines[item.baseline] = {p.operation: p for p in pset}
 
-    spec = BucketSpec() if sample_level else _spec_of(warehouse)
+    view = warehouse.snapshot(kind="samples" if sample_level
+                              else "profile")
+    resolutions = set() if sample_level \
+        else {cols.resolution for _, cols in view}
+    if len(resolutions) > 1:
+        raise QueryError("segments disagree on bucket resolution; query "
+                         "them separately")
+    spec = BucketSpec(*resolutions)
     grouped = has_agg or bool(stmt.group_by)
     if not grouped:
         rows = []
         sort_keys = []
-        for row, _ in _scan_rows(warehouse, stmt, bucket_level,
-                                 sample_level):
+        for row, _ in _scan_rows(view, stmt, bucket_level, sample_level):
             rows.append([row[item.name] for item in stmt.items])
             sort_keys.append([row[item.name]
                               for item, _ in stmt.order_by])
@@ -680,7 +660,7 @@ def execute_sql(warehouse, query) -> QueryResult:
         # One implicit group, present even over an empty scan — so
         # SELECT count() on an empty warehouse answers 0, not nothing.
         groups[()] = _GroupState(())
-    for row, contribution in _scan_rows(warehouse, stmt, bucket_level,
+    for row, contribution in _scan_rows(view, stmt, bucket_level,
                                         sample_level):
         key = tuple(row[d] for d in stmt.group_by)
         group = groups.get(key)

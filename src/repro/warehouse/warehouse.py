@@ -85,8 +85,10 @@ def _check_name(kind: str, name: str) -> str:
 class Warehouse:
     """Durable, append-only, queryable store of closed profile segments.
 
-    Thread-safe for one process (a single lock over index + log, like
-    the service's store lock); multi-process writers are out of scope —
+    Thread-safe for one process: one lock covers index, log and every
+    segment-file read, and :meth:`snapshot` selects and decodes in one
+    hold of it, so compaction and gc may run on any thread while reads
+    see one committed state.  Multi-process writers are out of scope —
     the service owns its warehouse directory.  ``fault_plan`` arms the
     ``warehouse.ingest``/``warehouse.compact`` crash sites for the
     crash-safety tests.
@@ -99,7 +101,7 @@ class Warehouse:
         self.policy = policy if policy is not None else CompactionPolicy()
         self._plan = fault_plan if fault_plan is not None else FaultPlan()
         self._fault_attempts: Dict[str, int] = {}
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()  # decoders re-enter it
         durable.ensure_dir(self.root / "segments")
         durable.ensure_dir(self.root / "baselines")
         #: Optional second tree double-committed with every segment
@@ -287,7 +289,8 @@ class Warehouse:
             raise WarehouseError(
                 f"segment {meta.seg_id} holds {meta.kind!r}, not a "
                 f"latency profile (use load_state)")
-        pset = self._read_segment(meta, ProfileSet.from_bytes)
+        with self._lock:
+            pset = self._read_segment(meta, ProfileSet.from_bytes)
         # Restore what the codec's one-float64-per-total rounding
         # dropped at commit time, so merges over this segment stay
         # sum-exact (see SegmentMeta.resid).
@@ -300,8 +303,8 @@ class Warehouse:
     def _read_segment(self, meta: SegmentMeta, decode):
         """Read and *decode* one committed segment file.
 
-        The one place a committed segment's bytes are read for use: a
-        missing file or a payload *decode* rejects raises
+        The one place a committed segment's bytes are read for use
+        (lock held): a missing file or a payload *decode* rejects raises
         :class:`WarehouseError`.
         """
         try:
@@ -318,7 +321,7 @@ class Warehouse:
                 from None
 
     def _trailer_crc(self, meta: SegmentMeta) -> int:
-        """The stored CRC-32 trailer of a segment file (4-byte read)."""
+        """The stored CRC-32 trailer of a segment file (lock held)."""
         path = self.root / meta.file
         try:
             with open(path, "rb") as f:
@@ -341,14 +344,15 @@ class Warehouse:
         segment id + CRC); a miss — or a trailer that no longer matches
         the cached entry — reads and decodes the file, CRC enforced.
         """
-        cached = self._columns.get(meta.seg_id)
-        if cached is not None and cached.crc == self._trailer_crc(meta):
-            self.cache_hits_total += 1
-            return cached
-        cols = self._read_segment(meta, ColumnarSegment.from_bytes)
-        self._columns[meta.seg_id] = cols
-        self.cache_misses_total += 1
-        return cols
+        with self._lock:
+            cached = self._columns.get(meta.seg_id)
+            if cached is not None and cached.crc == self._trailer_crc(meta):
+                self.cache_hits_total += 1
+                return cached
+            cols = self._read_segment(meta, ColumnarSegment.from_bytes)
+            self._columns[meta.seg_id] = cols
+            self.cache_misses_total += 1
+            return cols
 
     def _invalidate_columns(self, metas) -> None:
         for meta in metas:
@@ -360,7 +364,8 @@ class Warehouse:
             raise WarehouseError(
                 f"segment {meta.seg_id} holds {meta.kind!r}, not "
                 f"wait-state samples (use load_segment)")
-        return self._read_segment(meta, StateProfile.from_bytes)
+        with self._lock:
+            return self._read_segment(meta, StateProfile.from_bytes)
 
     def sources(self) -> List[str]:
         with self._lock:
@@ -374,12 +379,33 @@ class Warehouse:
         the sampling family or ``None`` for every live segment.
         """
         with self._lock:
-            sources = [source] if source is not None \
-                else self.index.sources()
-            out: List[SegmentMeta] = []
-            for src in sources:
-                out.extend(self.index.select(src, kind=kind))
-            return out
+            return self._select(source, kind=kind)
+
+    def _select(self, source: Optional[str], **filters) -> List[SegmentMeta]:
+        # Lock held.  Source name order, then each source's epoch order.
+        sources = [source] if source is not None else self.index.sources()
+        return [meta for src in sources
+                for meta in self.index.select(src, **filters)]
+
+    def snapshot(self, source: Optional[str] = None, *,
+                 kind: Optional[str] = "profile",
+                 layer: Optional[str] = None, op: Optional[str] = None,
+                 t0: Optional[int] = None, t1: Optional[int] = None
+                 ) -> List[Tuple[SegmentMeta, object]]:
+        """``(meta, decoded)`` for the live segments of *source* (or all).
+
+        The one multi-segment read: select (scan order as
+        :meth:`segments`) and decode — latency segments to cached,
+        CRC-checked :class:`ColumnarSegment`, samples to
+        :class:`StateProfile` — in one hold of the lock, so the view is
+        one committed state across all sources and none of its files is
+        unlinked mid-read.  Aggregate outside the lock.
+        """
+        with self._lock:
+            return [(meta, self.load_state(meta) if meta.kind == "samples"
+                     else self.load_columns(meta))
+                    for meta in self._select(source, layer=layer, op=op,
+                                             t0=t0, t1=t1, kind=kind)]
 
     def query(self, source: str, layer: Optional[str] = None,
               op: Optional[str] = None, t0: Optional[int] = None,
@@ -393,12 +419,9 @@ class Warehouse:
         (empty name, no attributes), byte-comparable with
         :meth:`ProfileSet.merged` over the equivalent raw segments.
         """
-        with self._lock:
-            metas = self.index.select(source, layer=layer, op=op,
-                                      t0=t0, t1=t1)
-            pairs = [(self.load_columns(meta), meta) for meta in metas]
+        view = self.snapshot(source, layer=layer, op=op, t0=t0, t1=t1)
         return merged_profile_set(
-            ((cols, dict(meta.resid)) for cols, meta in pairs),
+            ((cols, dict(meta.resid)) for meta, cols in view),
             layer=layer, op=op)
 
     def query_states(self, source: str, t0: Optional[int] = None,
@@ -410,11 +433,8 @@ class Warehouse:
         is canonical and byte-comparable against
         :meth:`StateProfile.merged` over the same captures.
         """
-        with self._lock:
-            metas = self.index.select(source, t0=t0, t1=t1,
-                                      kind="samples")
-        return StateProfile.merged(self.load_state(meta)
-                                   for meta in metas)
+        return StateProfile.merged(sprof for _, sprof in self.snapshot(
+            source, kind="samples", t0=t0, t1=t1))
 
     def recent_psets(self, source: str, count: int) -> List[ProfileSet]:
         """The last *count* non-empty segments, oldest first.
@@ -423,17 +443,14 @@ class Warehouse:
         alerter's rolling baseline is seeded from stored history
         instead of starting blind after a restart.
         """
-        if count < 1:
-            return []
-        with self._lock:
-            metas = self.index.select(source)
         out: List[ProfileSet] = []
-        for meta in reversed(metas):
-            pset = self.load_segment(meta)
-            if len(pset):
-                out.append(pset)
-                if len(out) == count:
+        with self._lock:
+            for meta in reversed(self.index.select(source)):
+                if len(out) >= count:
                     break
+                pset = self.load_segment(meta)
+                if len(pset):
+                    out.append(pset)
         out.reverse()
         return out
 
@@ -579,9 +596,7 @@ class Warehouse:
                     f"wal.log: {report.journal_bad_bytes} distrusted "
                     f"tail byte(s) after {report.journal_records} good "
                     f"record(s)")
-            metas = [meta for src in self.index.sources()
-                     for meta in self.index.select(src, kind=None)]
-            for meta in metas:
+            for meta in self._select(None, kind=None):
                 report.scanned += 1
                 reason = self._verify_segment(meta)
                 if reason is None:

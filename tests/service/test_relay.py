@@ -264,6 +264,18 @@ class TestLedgerDurability:
         assert not fresh and "duplicate" in status
         assert len(reborn.pending_entries()) == 1
 
+    def test_undecodable_entry_quarantined_at_restart(self, tmp_path,
+                                                      make_relay):
+        # A bare profile with no PUSH_SEQ header would read its codec
+        # magic as a header (client "\x00", a huge seq); restart must
+        # quarantine it rather than seed the ledger with that mark.
+        relay = make_relay(tmp_path, ("127.0.0.1", 1))
+        relay.spool.append(pset(1).to_bytes())
+        reborn = make_relay(tmp_path, ("127.0.0.1", 1))
+        assert len(reborn.ledger) == 0
+        assert reborn.spool.corrupted == 1
+        assert reborn.pending_entries() == []
+
     def test_state_file_round_trips(self, tmp_path):
         state = RelayState(tmp_path)
         state.relay_id = "relay-x"

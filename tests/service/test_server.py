@@ -89,6 +89,20 @@ class TestProfileService:
         assert "osprof_segment_seconds 5" in text
         assert "osprof_ingest_seconds_sum" in text
 
+    def test_metrics_count_operations_without_merging(self, service,
+                                                      monkeypatch):
+        service.ingest_payload(pset({"read": [100.0] * 20}).to_bytes())
+        service.test_clock.now = 6.0
+        service.ingest_payload(pset({"write": [200.0] * 20,
+                                     "read": [50.0] * 5}).to_bytes())
+        assert len(service.store.segments()) == 2
+
+        def no_merge(*args, **kwargs):
+            raise AssertionError("a scrape must not merge the store")
+
+        monkeypatch.setattr(type(service.store), "merged", no_merge)
+        assert "osprof_store_operations 2\n" in service.metrics_text()
+
     def test_alert_log_bounded(self):
         clock = FakeClock()
         svc = ProfileService(

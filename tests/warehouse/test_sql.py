@@ -246,27 +246,21 @@ class _Meta:
 
 
 class _FakeWarehouse:
-    """In-memory stand-in exposing the scan interface execute_sql uses."""
+    """In-memory stand-in exposing the read interface execute_sql uses."""
 
     def __init__(self, segments):
-        self._by_source = {}
-        self._cols = {}
-        for source, epoch, ps in segments:
+        # Source order, then insertion order: the warehouse's scan order.
+        self._view = []
+        for source, epoch, ps in sorted(segments, key=lambda s: s[0]):
             resid = tuple(
                 (prof.operation, tuple(prof.histogram.latency_residual()))
                 for prof in ps if prof.histogram.latency_residual())
-            meta = _Meta(source, epoch, resid)
-            self._by_source.setdefault(source, []).append(meta)
-            self._cols[id(meta)] = ColumnarSegment.from_bytes(ps.to_bytes())
+            self._view.append((_Meta(source, epoch, resid),
+                               ColumnarSegment.from_bytes(ps.to_bytes())))
 
-    def sources(self):
-        return sorted(self._by_source)
-
-    def segments(self, source):
-        return self._by_source[source]
-
-    def load_columns(self, meta):
-        return self._cols[id(meta)]
+    def snapshot(self, source=None, *, kind="profile"):
+        assert source is None and kind == "profile"
+        return list(self._view)
 
     def load_baseline(self, name):
         raise ValueError(f"no baseline named {name!r}")
